@@ -9,7 +9,8 @@ Three notions are audited:
 * profile: per eta, the minimum of |edges inside U| / C(|U|, 3) over
            subsets with |U| >= ceil(eta * n).
 
-Exact mode enumerates subsets (Gray-code incremental counting); heuristic
+Exact mode reads one numpy table of e(U) for every subset U (vertex and
+profile) or, per X, the codegrees of every Y at once (triple); heuristic
 mode uses seeded multi-start local search (vertex/profile) or alternating
 closed-form coordinate descent (triple).  A "violated" verdict always
 carries a certificate that re-verifies with negative slack; heuristic mode
@@ -19,12 +20,16 @@ never claims "satisfied", only "unresolved".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from math import ceil, comb, inf
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .hypergraphs import Hypergraph, induced_edge_count
 from .seeding import derive_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 VERTEX_EXACT_LIMIT = 24
 TRIPLE_EXACT_LIMIT = 10
@@ -134,65 +139,98 @@ def size_floor(eta: float, n: int, k: int) -> int:
     return max(ceil(eta * n - _CEIL_GUARD), k)
 
 
+def _fill_subset_counts(out: np.ndarray, k: int, edges: Sequence[tuple[int, ...]]) -> None:
+    """out[U] = #{given sorted k-sets inside U} for every mask U < len(out), by
+    subset doubling: a mask in [2**v, 2**(v+1)) is a lower mask plus v, so its
+    count is the lower mask's plus that of the sets with top vertex v whose
+    rest lies inside, a table one uniformity down built in the upper half."""
+    if k == 0:
+        out[:] = len(edges)
+        return
+    by_top: list[list[tuple[int, ...]]] = [[] for _ in range(len(out).bit_length() - 1)]
+    for e in edges:
+        by_top[e[-1]].append(e[:-1])
+    out[0] = 0
+    for v, rests in enumerate(by_top):
+        low, high = out[: 1 << v], out[1 << v : 2 << v]
+        if rests:
+            _fill_subset_counts(high, k - 1, rests)
+            high += low
+        else:
+            high[:] = low
+
+
+def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]:
+    """m(s) = min e(U) over |U| = s for s = 0..n, and a function giving the
+    masks that attain m(s).  The tables take 5 * 2**n bytes (int32, uint8)."""
+    # imported here, not at the top: numpy loaded ahead of the package's later
+    # modules raises the peak RSS of `import hyperdense` by about 2 MB
+    import numpy as np
+
+    counts = np.empty(1 << h.n, dtype=np.int32)
+    _fill_subset_counts(counts, h.k, h.edges)
+    sizes = np.empty(1 << h.n, dtype=np.uint8)
+    _fill_subset_counts(sizes, 1, [(v,) for v in range(h.n)])
+    minima = np.full(h.n + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    np.minimum.at(minima, sizes, counts)
+    return minima.tolist(), lambda s: np.flatnonzero((sizes == s) & (counts == minima[s]))
+
+
+def _lex_least(masks: np.ndarray, n: int) -> int:
+    """Among masks of one size, the one whose sorted vertex tuple is
+    lexicographically least: while some hold the next vertex, keep those."""
+    for v in range(n):
+        holding = masks[masks >> v & 1 == 1]
+        masks = holding if len(holding) else masks
+    return int(masks[0])
+
+
+def _first_in_gray_order(masks: np.ndarray) -> int:
+    """The mask a Gray-code walk from 0 meets first: least inverse-Gray rank."""
+    rank = masks.copy()
+    for shift in (1, 2, 4, 8, 16):  # enough for masks below 2**32
+        rank ^= rank >> shift
+    return int(masks[rank.argmin()])
+
+
+def _audit(h: Hypergraph, query: DensityQuery, limit: int, exact, heuristic) -> DensityReport:
+    """Run one audit, then recompute a violated verdict's slack on the
+    reference path; an explicit check, so that it also runs under -O."""
+    if query.mode == "exact" and h.n > limit:
+        raise ValueError(f"exact mode limited to n <= {limit}, got n = {h.n}")
+    report = (exact if query.mode == "exact" else heuristic)(h, query)
+    if report.verdict == "violated":
+        recomputed = verify_density_certificate(h, report)
+        if not (recomputed < 0 and abs(recomputed - report.slack) < 1e-9):
+            raise RuntimeError(f"{report.notion} certificate re-verifies at {recomputed}, not {report.slack}")
+    return report
+
+
+def _exact_report(notion: str, query: DensityQuery, slack: float, cert: dict, stats: dict) -> DensityReport:
+    return DensityReport(notion, "violated" if slack < 0 else "satisfied", query.d, query.eta,
+                         cert if slack < 0 else None, slack, {"mode": "exact", **stats})
+
+
 # ---------------------------------------------------------------------------
 # vertex notion
 
 
 def vertex_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
-    if query.mode == "exact":
-        if h.n > VERTEX_EXACT_LIMIT:
-            raise ValueError(f"exact mode limited to n <= {VERTEX_EXACT_LIMIT}, got n = {h.n}")
-        report = _vertex_exact(h, query)
-    else:
-        report = _vertex_heuristic(h, query)
-    if report.verdict == "violated":
-        recomputed = verify_density_certificate(h, report)
-        assert recomputed < 0 and abs(recomputed - report.slack) < 1e-9
-    return report
-
-
-def _vertex_slack(h: Hypergraph, query: DensityQuery, mask: int, size: int, inside: int) -> float:
-    return inside - query.d * comb(size, h.k) + query.eta * h.n ** h.k
+    return _audit(h, query, VERTEX_EXACT_LIMIT, _vertex_exact, _vertex_heuristic)
 
 
 def _vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     n = h.n
     penalty = query.eta * n ** h.k
-    binom = [comb(s, h.k) for s in range(n + 1)]
-    others = _edge_masks_without(h)
-    best_slack = penalty  # empty subset
-    best_mask = 0
-    mask = size = inside = 0
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            inside -= sum(1 for om in others[v] if om & mask == om)
-            mask ^= bit
-            size -= 1
-        else:
-            mask |= bit
-            size += 1
-            inside += sum(1 for om in others[v] if om & mask == om)
-        slack = inside - query.d * binom[size] + penalty
-        if slack < best_slack or (slack == best_slack and _decode(mask, n) < _decode(best_mask, n)):
-            best_slack = slack
-            best_mask = mask
-    subset = _decode(best_mask, n)
-    violated = best_slack < 0
-    return DensityReport(
-        notion="vertex",
-        verdict="violated" if violated else "satisfied",
-        d=query.d,
-        eta=query.eta,
-        certificate={"U": list(subset)} if violated else None,
-        slack=best_slack,
-        stats={
-            "mode": "exact",
-            "subsets_examined": 1 << n,
-            "argmin": list(subset),
-            "uniformity": h.k,
-        },
+    minima, minimisers = _size_minima(h)
+    slacks = [minima[s] - query.d * comb(s, h.k) + penalty for s in range(n + 1)]
+    best = min(slacks)
+    # the least vertex tuple among all minimisers: per size, then across sizes; () precedes all
+    tied = [s for s in range(n + 1) if slacks[s] == best]
+    subset = min(_decode(_lex_least(minimisers(s), n), n) for s in tied) if tied[0] else ()
+    return _exact_report(
+        "vertex", query, best, {"U": list(subset)},
+        {"subsets_examined": 1 << n, "argmin": list(subset), "uniformity": h.k},
     )
 
 
@@ -294,66 +332,46 @@ def _triple_objective(h: Hypergraph, X: set, Y: set, Z: set, d: float, eta: floa
 def triple_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
     if h.k != 3:
         raise ValueError("three-set audit requires uniformity 3")
-    if query.mode == "exact":
-        if h.n > TRIPLE_EXACT_LIMIT:
-            raise ValueError(f"exact mode limited to n <= {TRIPLE_EXACT_LIMIT}, got n = {h.n}")
-        report = _triple_exact(h, query)
-    else:
-        report = _triple_heuristic(h, query)
-    if report.verdict == "violated":
-        recomputed = verify_density_certificate(h, report)
-        assert recomputed < 0 and abs(recomputed - report.slack) < 1e-9
-    return report
+    return _audit(h, query, TRIPLE_EXACT_LIMIT, _triple_exact, _triple_heuristic)
 
 
 def _triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     """Enumerate (X, Y) pairs; for fixed X, Y the optimal Z has a closed
     form (take every vertex whose codegree is below d|X||Y|), so this
-    equals the full minimum over all 8**n triples."""
+    equals the full minimum over all 8**n triples.  For each X, the
+    codegrees of every Y at once are Y's membership rows times X's links."""
+    import numpy as np
+
     n = h.n
     penalty = query.eta * n ** 3
-    pair_others: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for x, y, z in h.edges:
-        pair_others[x].append((y, z))
-        pair_others[y].append((x, z))
-        pair_others[z].append((x, y))
+    # row j is the j-th Gray code: argmin's first minimum is the first in Gray order
+    ys = np.arange(1 << n)
+    ys ^= ys >> 1
+    members = ys[:, None] >> np.arange(n) & 1
+    ysize = members.sum(axis=1)
+    link = np.zeros((n, n, n), dtype=np.int64)  # link[x, y, w] = 1 when xyw is an edge
+    for e in h.edges:
+        for x, y, w in permutations(e):
+            link[x, y, w] = 1
     best = penalty  # X = Y = Z = empty
     best_cert = ((), (), ())
     for xmask in range(1 << n):
-        xbit = [(xmask >> w) & 1 for w in range(n)]
-        xsize = sum(xbit)
-        c = [0] * n
-        ymask = 0
-        ysize = 0
-        for j in range(1, 1 << n):
-            u = (j & -j).bit_length() - 1
-            s = -1 if ymask >> u & 1 else 1
-            for a, b in pair_others[u]:
-                c[b] += s * xbit[a]
-                c[a] += s * xbit[b]
-            ymask ^= 1 << u
-            ysize += s
-            t = query.d * xsize * ysize
-            total = 0.0
-            for cz in c:
-                gap = cz - t
-                if gap < 0:
-                    total += gap
-            obj = total + penalty
-            if obj < best:
-                best = obj
-                zs = tuple(w for w in range(n) if c[w] - t < 0)
-                best_cert = (_decode(xmask, n), _decode(ymask, n), zs)
-    violated = best < 0
+        xs = _decode(xmask, n)
+        codegree = members @ link[list(xs)].sum(axis=0)  # [j, w] = #{(x, y) in X*Y_j : xyw an edge}
+        gap = codegree - query.d * len(xs) * ysize[:, None]
+        # summed column by column, in w order: a pairwise sum would change the last bit
+        total = np.zeros(1 << n)
+        for w in range(n):
+            total += np.minimum(gap[:, w], 0.0)
+        obj = total + penalty
+        j = int(np.argmin(obj))
+        if obj[j] < best:
+            best = float(obj[j])
+            best_cert = (xs, _decode(int(ys[j]), n), tuple(np.flatnonzero(gap[j] < 0).tolist()))
     X, Y, Z = best_cert
-    return DensityReport(
-        notion="triple",
-        verdict="violated" if violated else "satisfied",
-        d=query.d,
-        eta=query.eta,
-        certificate={"X": list(X), "Y": list(Y), "Z": list(Z)} if violated else None,
-        slack=best,
-        stats={"mode": "exact", "pairs_examined": 1 << (2 * n), "argmin": [list(X), list(Y), list(Z)]},
+    return _exact_report(
+        "triple", query, best, {"X": list(X), "Y": list(Y), "Z": list(Z)},
+        {"pairs_examined": 1 << (2 * n), "argmin": [list(X), list(Y), list(Z)]},
     )
 
 
@@ -382,7 +400,8 @@ def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
                     sets[role] = replacement
                     changed = True
                 new_obj = _triple_objective(h, sets[0], sets[1], sets[2], query.d, query.eta)
-                assert new_obj <= obj + 1e-9, "descent step increased the objective"
+                if new_obj > obj + 1e-9:
+                    raise RuntimeError(f"descent step increased the objective from {obj} to {new_obj}")
                 obj = new_obj
                 trace.append(obj)
             if not changed:
@@ -440,36 +459,17 @@ def density_profile(
 
 def _profile_exact(h: Hypergraph, eta_grid: Sequence[float]) -> ProfileReport:
     n, k = h.n, h.k
-    binom = [comb(s, k) for s in range(n + 1)]
-    others = _edge_masks_without(h)
-    per_size: list[tuple[float, int]] = [(inf, 0)] * (n + 1)  # (ratio, mask)
-    mask = size = inside = 0
-    for i in range(1, 1 << n):
-        v = (i & -i).bit_length() - 1
-        bit = 1 << v
-        if mask & bit:
-            inside -= sum(1 for om in others[v] if om & mask == om)
-            mask ^= bit
-            size -= 1
-        else:
-            mask |= bit
-            size += 1
-            inside += sum(1 for om in others[v] if om & mask == om)
-        if size >= k:
-            ratio = inside / binom[size]
-            if ratio < per_size[size][0]:
-                per_size[size] = (ratio, mask)
+    minima, minimisers = _size_minima(h)
+    ratios = {s: minima[s] / comb(s, k) for s in range(k, n + 1)}
+    subset = cache(lambda s: _decode(_first_in_gray_order(minimisers(s)), n))
     entries = []
     for eta in eta_grid:
         floor = size_floor(eta, n, k)
-        best: tuple[float, int] | None = None
-        for s in range(floor, n + 1):
-            if per_size[s][0] < inf and (best is None or per_size[s][0] < best[0]):
-                best = per_size[s]
-        if best is None:
+        if floor > n:
             entries.append(ProfileEntry(eta, floor, None, None))
-        else:
-            entries.append(ProfileEntry(eta, floor, best[0], _decode(best[1], n)))
+            continue
+        best = min(range(floor, n + 1), key=ratios.__getitem__)  # the smallest size among ties
+        entries.append(ProfileEntry(eta, floor, ratios[best], subset(best)))
     return ProfileReport(entries, "exact", {"subsets_examined": 1 << n})
 
 

@@ -531,16 +531,46 @@ def reduced_to_dict(rh: ReducedHypergraph) -> dict:
     }
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, (dict, list)) or value is None:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _key_ints(key: str, count: int, what: str) -> tuple[int, ...]:
+    parts = key.split(",")
+    if len(parts) != count:
+        raise ValueError(f"{what} key {key!r} must hold {count} comma-separated integers")
+    return tuple(int(x) for x in parts)
+
+
 def reduced_from_dict(data: dict) -> ReducedHypergraph:
-    m = int(data["m"])
+    """Parse the reduced-hypergraph JSON schema; malformed input raises ValueError."""
+    data = _json_object(data, "reduced hypergraph")
+    if "m" not in data or "class_size" not in data:
+        raise ValueError('reduced hypergraph needs the keys "m" and "class_size"')
+    m = _json_int(data["m"], "m")
     sizes = {}
-    for key, s in data["class_size"].items():
-        i, j = (int(x) for x in key.split(","))
-        sizes[(i, j)] = int(s)
+    for key, s in _json_object(data["class_size"], "class_size").items():
+        sizes[_key_ints(key, 2, "class_size")] = _json_int(s, f"class_size[{key!r}]")
     cons: dict[Triple, set[ClassEdge]] = {}
-    for key, es in data.get("constituents", {}).items():
-        i, j, k = (int(x) for x in key.split(","))
-        cons[(i, j, k)] = {tuple(int(v) for v in e) for e in es}
+    for key, es in _json_object(data.get("constituents", {}), "constituents").items():
+        what = f"constituents[{key!r}]"
+        cons[_key_ints(key, 3, "constituents")] = {
+            tuple(_json_int(v, what) for v in _json_list(e, what)) for e in _json_list(es, what)
+        }
     return ReducedHypergraph.from_parts(m, sizes, cons)
 
 
@@ -557,18 +587,21 @@ def selection_to_dict(sel: CoreSelection) -> dict:
 
 
 def selection_from_dict(data: dict) -> CoreSelection:
-    def colour(mapping: dict) -> dict[Pair, int]:
-        out = {}
-        for key, v in mapping.items():
-            r, s = (int(x) for x in key.split(","))
-            out[(r, s)] = int(v)
-        return out
+    """Parse the core-selection JSON schema; malformed input raises ValueError."""
+    data = _json_object(data, "core selection")
+    missing = [key for key in ("lambda", "red", "blue", "green") if key not in data]
+    if missing:
+        raise ValueError(f"core selection lacks the keys {missing}")
+
+    def colour(name: str) -> dict[Pair, int]:
+        mapping = _json_object(data[name], name)
+        return {_key_ints(key, 2, name): _json_int(v, f"{name}[{key!r}]") for key, v in mapping.items()}
 
     return CoreSelection(
-        tuple(int(i) for i in data["lambda"]),
-        colour(data["red"]),
-        colour(data["blue"]),
-        colour(data["green"]),
+        tuple(_json_int(i, "lambda") for i in _json_list(data["lambda"], "lambda")),
+        colour("red"),
+        colour("blue"),
+        colour("green"),
     )
 
 

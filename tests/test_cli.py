@@ -184,6 +184,24 @@ def test_reduced_select_rejects_sparse(tmp_path, capsys):
     assert "dense" in err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", '{"m": 2, "class_size": [1, 2]}'])
+def test_reduced_select_malformed_json_is_input_error(tmp_path, capsys, text):
+    path = write(tmp_path, "bad.json", text)
+    code, out, err = run(capsys, "reduced", "select", path, "--mu", "0.5", "--f", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[]", '{"lambda": 3, "red": {}, "blue": {}, "green": {}}'])
+def test_reduced_verify_malformed_selection_is_input_error(tmp_path, capsys, text):
+    path = write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(4, 2)))
+    sel_path = write(tmp_path, "sel.json", text)
+    code, _, err = run(capsys, "reduced", "verify", path, "--selection", sel_path)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_fact7(capsys):
     code, out, _ = run(capsys, "verify-fact7", "--resolution", "51")
     assert code == 0

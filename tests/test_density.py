@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb, isclose
+from pathlib import Path
 
 import pytest
 
+import hyperdense
 from hyperdense import (
     DensityQuery,
     Hypergraph,
@@ -14,6 +19,7 @@ from hyperdense import (
     verify_density_certificate,
     vertex_density_check,
 )
+from hyperdense import density
 from hyperdense.density import (
     ordered_triple_count,
     size_floor,
@@ -267,3 +273,40 @@ def test_certificate_roundtrip_on_random_violations():
             continue
         assert isclose(verify_density_certificate(h, report), report.slack, abs_tol=1e-9)
         seen += 1
+
+
+# --- soundness checks that must survive python -O -----------------------------------
+
+
+def test_certificate_check_runs_under_optimize():
+    script = (
+        "import hyperdense.density as density\n"
+        "from hyperdense import Hypergraph\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        "h, q = Hypergraph(3, 6, ()), density.DensityQuery(d=0.5, eta=0.01)\n"
+        "print(density.vertex_density_check(h, q).verdict)\n"
+        "density.verify_density_certificate = lambda h, report: 1.0\n"
+        "try:\n"
+        "    density.vertex_density_check(h, q)\n"
+        "except RuntimeError:\n"
+        "    print('rejected')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "violated\nrejected\n"
+
+
+@pytest.mark.parametrize("check", [vertex_density_check, triple_density_check])
+def test_disagreeing_certificate_raises(monkeypatch, check):
+    monkeypatch.setattr(density, "verify_density_certificate", lambda h, report: report.slack + 1.0)
+    with pytest.raises(RuntimeError, match="certificate"):
+        check(Hypergraph(3, 6, ()), DensityQuery(d=0.5, eta=0.01))
+
+
+def test_increasing_descent_step_raises(monkeypatch):
+    objectives = iter(range(100))
+    monkeypatch.setattr(density, "_triple_objective", lambda *args: float(next(objectives)))
+    q = DensityQuery(d=0.5, eta=0.01, mode="heuristic", restarts=1, budget=2)
+    with pytest.raises(RuntimeError, match="descent"):
+        triple_density_check(Hypergraph(3, 6, ()), q)

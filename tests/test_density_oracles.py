@@ -1,0 +1,65 @@
+"""The exact density audits against their Gray-code reference scans.
+
+Reports must agree byte for byte: slack, verdict, certificate, argmin,
+stats and every profile entry.  Empty and complete hosts and d in {0, 1}
+are drawn often, because they tie many subsets and exercise the
+tie-breaking rules.  The vertex and triple paths are called below the
+certificate re-verification: at an exact slack of 0 the float slack can
+land on either side, and that boundary is not what these properties test.
+"""
+
+import json
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gray_oracles import profile_exact, triple_exact, vertex_exact
+from hyperdense import DensityQuery, Hypergraph, density_profile
+from hyperdense.density import _triple_exact, _vertex_exact
+
+ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def hosts(draw, max_n, uniformities=(2, 3, 4)):
+    k = draw(st.sampled_from(uniformities))
+    n = draw(st.integers(0, max_n))
+    candidates = list(combinations(range(n), k))
+    kind = draw(st.sampled_from(["empty", "complete", "random"]))
+    if kind == "empty":
+        edges = []
+    elif kind == "complete":
+        edges = candidates
+    else:
+        keep = draw(st.lists(st.booleans(), min_size=len(candidates), max_size=len(candidates)))
+        edges = [e for e, kept in zip(candidates, keep) if kept]
+    return Hypergraph(k, n, tuple(edges))
+
+
+densities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+etas = st.one_of(st.sampled_from([0.001, 0.03, 0.5, 1.0]), st.floats(1e-4, 1.0))
+
+
+def same(report, reference) -> bool:
+    return json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
+
+@ORACLE_SETTINGS
+@given(hosts(max_n=10), densities, etas)
+def test_vertex_exact_matches_gray_scan(h, d, eta):
+    query = DensityQuery(d=d, eta=eta)
+    assert same(_vertex_exact(h, query), vertex_exact(h, query))
+
+
+@ORACLE_SETTINGS
+@given(hosts(max_n=10), st.lists(st.one_of(st.sampled_from([0.25, 2 / 3, 1.0]), st.floats(0.01, 1.0)), min_size=1))
+def test_profile_exact_matches_gray_scan(h, grid):
+    assert same(density_profile(h, grid), profile_exact(h, grid))
+
+
+@ORACLE_SETTINGS
+@given(hosts(max_n=6, uniformities=(3,)), densities, etas)
+def test_triple_exact_matches_gray_scan(h, d, eta):
+    query = DensityQuery(d=d, eta=eta)
+    assert same(_triple_exact(h, query), triple_exact(h, query))
