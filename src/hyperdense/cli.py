@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 affirmative/satisfied, 1 negative/violated/none,
-2 usage or input error, 3 unresolved (heuristic budget exhausted).
+2 usage or input error, 3 unresolved (heuristic budget exhausted),
+4 internal fault (a failed self-check or any other unexpected error).
 Every report embeds the run configuration, including the seed.
 """
 
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_UNRESOLVED = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict, args) -> None:
@@ -47,7 +49,8 @@ def cmd_decide_pi1(args) -> int:
     if witness is None:
         _emit(_envelope(args, "decide-pi1", {"witness": "none"}, file=args.file), args)
         return EXIT_NEGATIVE
-    assert rainbow.verify_rainbow_colouring(pattern, witness)
+    if not rainbow.verify_rainbow_colouring(pattern, witness):
+        raise RuntimeError("rainbow witness does not verify")
     result = {"witness": rainbow.witness_to_dict(witness, pattern.k)}
     _emit(_envelope(args, "decide-pi1", result, file=args.file), args)
     return EXIT_OK
@@ -59,7 +62,8 @@ def cmd_frequent(args) -> int:
     if witness is None:
         _emit(_envelope(args, "frequent", {"witness": "none"}, file=args.file), args)
         return EXIT_NEGATIVE
-    assert ternary.verify_kary_embedding(pattern, witness)
+    if not ternary.verify_kary_embedding(pattern, witness):
+        raise RuntimeError("digit-string witness does not verify")
     result = {"witness": ternary.embedding_to_dict(witness)}
     _emit(_envelope(args, "frequent", result, file=args.file), args)
     return EXIT_OK
@@ -222,7 +226,8 @@ def cmd_embed(args) -> int:
     if witness is None:
         _emit(_envelope(args, "embed", {"witness": "none"}), args)
         return EXIT_NEGATIVE
-    assert hypergraphs.is_embedding(pattern, host, witness.mapping)
+    if not hypergraphs.is_embedding(pattern, host, witness.mapping):
+        raise RuntimeError("embedding witness does not verify")
     result = {"witness": {"mapping": {str(v): w for v, w in sorted(witness.mapping.items())}}}
     _emit(_envelope(args, "embed", result, pattern=args.pattern, host=args.host), args)
     return EXIT_OK
@@ -330,6 +335,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # Never exit 1 on a fault: 1 means "negative".
+        print(f"error: internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -191,66 +191,27 @@ def _search_order(pattern: Hypergraph) -> list[int]:
 
 
 def _closing_edges(pattern: Hypergraph, order: Sequence[int]) -> list[list[tuple[int, ...]]]:
-    """For each search position, the edges completed there, as their other vertices."""
+    """For each search position, the edges completed there, as the positions
+    of their other vertices."""
     pos = {v: i for i, v in enumerate(order)}
     closing: list[list[tuple[int, ...]]] = [[] for _ in order]
     for e in pattern.edges:
-        last = max(e, key=lambda v: pos[v])
-        closing[pos[last]].append(tuple(v for v in e if v != last))
+        *others, last = sorted(pos[v] for v in e)
+        closing[last].append(tuple(others))
     return closing
 
 
 def contains_copy(pattern: Hypergraph, host: Hypergraph) -> Optional[VertexMap]:
     """Injective edge-preserving map from pattern into host, or None.
 
-    Complete backtracking; the returned witness is deterministic for fixed
-    inputs.  Candidates for each vertex are pruned through an index of host
-    faces to their completing vertices.
+    The injective search of ``_count_maps``, stopped at its first leaf, so
+    the witness is deterministic for fixed inputs: candidates are tried in
+    increasing order along the fixed search order.
     """
-    if pattern.k != host.k:
-        raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
-    if pattern.n > host.n:
+    witness: dict[int, int] = {}
+    if not _count_maps(pattern, host, injective=True, witness=witness):
         return None
-    if pattern.n == 0:
-        return VertexMap({}, True)
-    order = _search_order(pattern)
-    pos = {v: i for i, v in enumerate(order)}
-    closing = _closing_edges(pattern, order)
-    completions = _completion_index(host)
-    images: list[int] = []
-    used: set[int] = set()
-
-    def candidates(i: int) -> list[int]:
-        pools = []
-        for others in closing[i]:
-            key = tuple(sorted(images[pos[v]] for v in others))
-            opts = completions.get(key)
-            if not opts:
-                return []
-            pools.append(opts)
-        if not pools:
-            return [w for w in range(host.n) if w not in used]
-        cand = set(pools[0])
-        for p in pools[1:]:
-            cand.intersection_update(p)
-        cand.difference_update(used)
-        return sorted(cand)
-
-    def dfs(i: int) -> bool:
-        if i == len(order):
-            return True
-        for w in candidates(i):
-            images.append(w)
-            used.add(w)
-            if dfs(i + 1):
-                return True
-            used.discard(w)
-            images.pop()
-        return False
-
-    if not dfs(0):
-        return None
-    return VertexMap({v: images[pos[v]] for v in range(pattern.n)}, True)
+    return VertexMap(witness, True)
 
 
 def is_embedding(pattern: Hypergraph, host: Hypergraph, mapping: dict[int, int]) -> bool:
@@ -275,13 +236,25 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
 def count_homomorphisms(pattern: Hypergraph, host: Hypergraph) -> int:
     """Exact number of (not necessarily injective) edge-preserving maps.
 
-    Python integers, so counts never overflow.  Isolated pattern vertices
-    are folded into a single n**f factor at the end of the search order.
+    Positions are eliminated along the search order.  The boundary B_i of
+    position i holds the earlier positions that some edge closing at i or
+    later reads, and the count below i depends only on the images there.
+    A position outside B_{i+1} is read by nothing later, so it contributes
+    its candidate count times one recursion; the last constrained position
+    therefore just counts its candidates.  The count below i is memoised on
+    the images at B_i, but only where B_i is a strict subset of the prefix:
+    where it is the whole prefix every key occurs once, and a memo there
+    would only hold memory.  Isolated pattern vertices are folded into one
+    n**f factor.  Python integers, so counts never overflow.
     """
     return _count_maps(pattern, host, injective=False)
 
 
-def _count_maps(pattern: Hypergraph, host: Hypergraph, injective: bool) -> int:
+def _count_maps(
+    pattern: Hypergraph, host: Hypergraph, injective: bool, witness: Optional[dict[int, int]] = None
+) -> int:
+    """Count edge-preserving maps; with ``witness``, stop at the first leaf
+    of the injective search and store its map there."""
     if pattern.k != host.k:
         raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
     if injective and pattern.n > host.n:
@@ -291,46 +264,80 @@ def _count_maps(pattern: Hypergraph, host: Hypergraph, injective: bool) -> int:
     if not injective:
         while first_free > 0 and pattern.degree(order[first_free - 1]) == 0:
             first_free -= 1
-    pos = {v: i for i, v in enumerate(order)}
     closing = _closing_edges(pattern, order)
     completions = _completion_index(host)
     images: list[int] = []
     used: set[int] = set()
 
-    def candidates(i: int) -> list[int]:
+    def candidates(i: int) -> Sequence[int]:
         pools = []
         for others in closing[i]:
-            key = tuple(sorted(images[pos[v]] for v in others))
-            opts = completions.get(key)
+            opts = completions.get(tuple(sorted(images[p] for p in others)))
             if not opts:
-                return []
+                return ()
             pools.append(opts)
         if not pools:
-            if injective:
-                return [w for w in range(host.n) if w not in used]
-            return list(range(host.n))
-        cand = set(pools[0])
-        for p in pools[1:]:
-            cand.intersection_update(p)
-        if injective:
-            cand.difference_update(used)
+            return [w for w in range(host.n) if w not in used] if injective else range(host.n)
+        if len(pools) == 1:
+            return [w for w in pools[0] if w not in used] if used else pools[0]
+        cand = set(pools[0]).intersection(*pools[1:])
+        cand.difference_update(used)
         return sorted(cand)
 
-    def rec(i: int) -> int:
-        if i == first_free:
-            return host.n ** (len(order) - first_free)
-        total = 0
-        for w in candidates(i):
-            images.append(w)
-            if injective:
+    if injective:
+        def rec(i: int) -> int:
+            if i == len(order):
+                if witness is not None:
+                    witness.update(sorted(zip(order, images)))
+                return 1
+            total = 0
+            for w in candidates(i):
+                images.append(w)
                 used.add(w)
-            total += rec(i + 1)
-            if injective:
+                total += rec(i + 1)
                 used.discard(w)
+                images.pop()
+                if total and witness is not None:
+                    break
+            return total
+
+        return rec(0)
+
+    # boundary[i] = B_i; boundary[first_free] is empty.
+    boundary: list[tuple[int, ...]] = []
+    for i in range(first_free + 1):
+        read = {p for j in range(i, first_free) for others in closing[j] for p in others if p < i}
+        boundary.append(tuple(sorted(read)))
+    memo = [{} if len(boundary[i]) < i else None for i in range(first_free)]
+    free_factor = host.n ** (len(order) - first_free)
+
+    def count(i: int) -> int:
+        if i == first_free:
+            return free_factor
+        seen = memo[i]
+        if seen is not None:
+            key = tuple(images[p] for p in boundary[i])
+            hit = seen.get(key)
+            if hit is not None:
+                return hit
+        cands = candidates(i)
+        if not cands:
+            total = 0
+        elif i not in boundary[i + 1]:
+            images.append(cands[0])  # placeholder: nothing later reads position i
+            total = len(cands) * count(i + 1)
             images.pop()
+        else:
+            total = 0
+            for w in cands:
+                images.append(w)
+                total += count(i + 1)
+                images.pop()
+        if seen is not None:
+            seen[key] = total
         return total
 
-    return rec(0)
+    return count(0)
 
 
 def enumerate_hypergraphs(k: int, f: int) -> Iterator[Hypergraph]:
@@ -342,15 +349,3 @@ def enumerate_hypergraphs(k: int, f: int) -> Iterator[Hypergraph]:
     for mask in range(1 << total):
         sel = tuple(e for i, e in enumerate(all_edges) if mask >> i & 1)
         yield Hypergraph(k, f, sel)
-
-
-def naive_contains_copy(pattern: Hypergraph, host: Hypergraph) -> bool:
-    """Oracle: try every injective map.  Only sensible for tiny hosts."""
-    if pattern.k != host.k:
-        raise ValueError("uniformity mismatch")
-    if pattern.n > host.n:
-        return False
-    for img in permutations(range(host.n), pattern.n):
-        if all(tuple(sorted(img[v] for v in e)) in host.edge_set for e in pattern.edges):
-            return True
-    return False

@@ -235,6 +235,7 @@ def supersaturation_experiment(
         host = build_kary(pattern.k, depth, max_vertices=max_vertices)
         hom = count_homomorphisms(pattern, host)
         ratio = hom / host.n**pattern.n if pattern.n else 1.0
-        assert 0.0 <= ratio <= 1.0
+        if not 0.0 <= ratio <= 1.0:
+            raise RuntimeError(f"hom ratio {ratio} at depth {depth} lies outside [0, 1]")
         entries.append((depth, hom, ratio))
     return SupersaturationReport(pattern.n, len(pattern.edges), entries)

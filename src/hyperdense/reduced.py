@@ -272,7 +272,8 @@ def select_red(
         alive = future
     if m is not None and len(chosen) < m:
         return None
-    assert verify_red_selection(inst, chosen, choices)
+    if not verify_red_selection(inst, chosen, choices):
+        raise RuntimeError("red selection does not verify")
     return tuple(chosen), choices
 
 
@@ -291,7 +292,8 @@ def select_green(
     choices = {
         (M - 1 - b, M - 1 - a): elem for (a, b), elem in rev_choices.items()
     }
-    assert verify_green_selection(inst, indices, choices)
+    if not verify_green_selection(inst, indices, choices):
+        raise RuntimeError("green selection does not verify")
     return indices, choices
 
 
@@ -329,7 +331,8 @@ def select_blue(
             break
     if m is not None and len(chosen) < m:
         return None
-    assert verify_blue_selection(inst, chosen, choices)
+    if not verify_blue_selection(inst, chosen, choices):
+        raise RuntimeError("blue selection does not verify")
     return tuple(chosen), choices
 
 
@@ -449,7 +452,8 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
         green[(rank[a], rank[b])] = elem
 
     selection = CoreSelection(lam, red, blue, green)
-    assert verify_core(rh, selection)
+    if not verify_core(rh, selection):
+        raise RuntimeError("core selection does not verify")
     return selection
 
 

@@ -61,13 +61,6 @@ def vector_of(index: int, k: int, length: int) -> KaryVector:
     return tuple(reversed(digits))
 
 
-def index_of(vector: KaryVector, k: int) -> int:
-    index = 0
-    for d in vector:
-        index = index * k + d
-    return index
-
-
 def build_kary(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> Hypergraph:
     """Explicit depth-n host on k**n vertices (vertex = digit-string index).
 
@@ -180,7 +173,8 @@ def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:
     if top is None:
         return None
     length = len(next(iter(top.values()))) if top else 0
-    assert length <= pattern.n
+    if length > pattern.n:
+        raise RuntimeError(f"witness length {length} exceeds v(F) = {pattern.n}")
     return EmbeddingWitness(k=k, length=length, mapping=top)
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from hyperdense import parse_hypergraph
+import hyperdense
+from hyperdense import parse_hypergraph, rainbow
 from hyperdense.cli import main
 from hyperdense.reduced import complete_reduced, serialize_reduced_json
 
@@ -277,3 +282,31 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["no-such-command"])
     assert err.value.code == 2
+
+
+# --- internal faults exit 4, never 1 ("negative") -----------------------------
+
+
+def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rainbow, "verify_rainbow_colouring", lambda pattern, witness: False)
+    path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
+    code, out, err = run(capsys, "decide-pi1", path)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_self_check_exits_4_under_optimize(tmp_path):
+    path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
+    script = (
+        "import sys\n"
+        "from hyperdense import cli, rainbow\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        "rainbow.verify_rainbow_colouring = lambda pattern, witness: False\n"
+        f"sys.exit(cli.main(['decide-pi1', {path!r}]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -19,10 +20,11 @@ from hyperdense import (
     serialize_hypergraph,
     shadow,
 )
-from hyperdense.hypergraphs import naive_contains_copy
+from hyperdense.hypergraphs import _completion_index
 from hyperdense.seeding import derive_rng
 from hyperdense.ternary import build_kary
 
+from backtrack_oracles import naive_contains_copy
 from conftest import C5_MINUS_TEXT
 
 
@@ -256,6 +258,29 @@ def test_hom_count_matches_exhaustive_maps(pattern, host, rnd):
                for e in pattern.edges):
             brute += 1
     assert count_homomorphisms(pattern, host) == brute
+
+
+def test_hom_tight_paths_into_t4():
+    t4 = build_kary(3, 4)
+    assert count_homomorphisms(Hypergraph(3, 4, ((0, 1, 2), (1, 2, 3))), t4) == 3311280
+    assert count_homomorphisms(Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4))), t4) == 87169608
+
+
+def test_hom_memo_stays_within_the_host_index():
+    # Memoising a position whose boundary is its whole prefix keeps one
+    # entry per partial map; the gate keeps the count near the index size.
+    t4 = build_kary(3, 4)
+    path = Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(count_homomorphisms, path, t4) < 2 * peak(_completion_index, t4)
 
 
 # --- enumeration -------------------------------------------------------------
