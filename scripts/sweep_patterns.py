@@ -3,7 +3,7 @@
 
 For each pattern we ask (a) does some vertex ordering admit a conflict-free
 rainbow shadow colouring, and (b) does the pattern embed into a digit-string
-host.  Embeddable patterns must always be orderable; the sweep asserts that
+host.  Embeddable patterns must always be orderable; the sweep checks that
 and prints the class counts.
 
 Usage: python scripts/sweep_patterns.py [max_f]
@@ -12,22 +12,7 @@ Usage: python scripts/sweep_patterns.py [max_f]
 import sys
 import time
 
-from hyperdense import enumerate_hypergraphs, find_rainbow_ordering, is_frequent
-
-
-def sweep(f: int) -> dict:
-    counts = {"both": 0, "orderable_only": 0, "neither": 0, "embeddable_only": 0}
-    for pattern in enumerate_hypergraphs(3, f):
-        orderable = find_rainbow_ordering(pattern) is not None
-        embeddable = is_frequent(pattern)
-        assert not (embeddable and not orderable), f"inconsistency at {pattern.edges}"
-        if embeddable:
-            counts["both"] += 1
-        elif orderable:
-            counts["orderable_only"] += 1
-        else:
-            counts["neither"] += 1
-    return counts
+from hyperdense.ternary import classify_patterns
 
 
 def main() -> None:
@@ -35,10 +20,12 @@ def main() -> None:
     print(f"{'f':>2} {'patterns':>9} {'both':>6} {'orderable only':>15} {'neither':>8}  time")
     for f in range(3, max_f + 1):
         t0 = time.time()
-        counts = sweep(f)
+        counts = classify_patterns(f)
+        if counts["frequent_not_orderable"]:
+            raise SystemExit(f"inconsistency at f={f}: {counts}")
         total = sum(counts.values())
         print(
-            f"{f:>2} {total:>9} {counts['both']:>6} {counts['orderable_only']:>15}"
+            f"{f:>2} {total:>9} {counts['frequent_and_orderable']:>6} {counts['orderable_only']:>15}"
             f" {counts['neither']:>8}  {time.time() - t0:.1f}s"
         )
 

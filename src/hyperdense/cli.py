@@ -4,6 +4,9 @@ Exit codes: 0 affirmative/satisfied, 1 negative/violated/none,
 2 usage or input error, 3 unresolved (heuristic budget exhausted),
 4 internal fault (a failed self-check or any other unexpected error).
 Every report embeds the run configuration, including the seed.
+
+Each command imports the modules it runs inside its body, so a cold start
+loads only those (and numpy only where an exact audit or scan needs it).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import density, hypergraphs, inequalities, rainbow, reduced, ternary
+from . import hypergraphs
 
 SCHEMA = 1
 
@@ -44,6 +47,8 @@ def _load_hypergraph(path: str) -> hypergraphs.Hypergraph:
 
 
 def cmd_decide_pi1(args) -> int:
+    from . import rainbow
+
     pattern = _load_hypergraph(args.file)
     witness = rainbow.find_rainbow_ordering(pattern)
     if witness is None:
@@ -57,6 +62,8 @@ def cmd_decide_pi1(args) -> int:
 
 
 def cmd_frequent(args) -> int:
+    from . import ternary
+
     pattern = _load_hypergraph(args.file)
     witness = ternary.find_kary_embedding(pattern)
     if witness is None:
@@ -71,12 +78,16 @@ def cmd_frequent(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.kind == "ternary":
+        from . import ternary
+
         if len(args.params) != 2:
             raise ValueError("generate ternary needs parameters: k n")
         k, n = (int(p) for p in args.params)
         host = ternary.build_kary(k, n)
         header = f"# ternary host: base {k}, depth {n}\n"
     else:
+        from . import rainbow
+
         if len(args.params) != 1:
             raise ValueError("generate hphi needs a vertex count n")
         n = int(args.params[0])
@@ -105,6 +116,8 @@ def _verdict_exit(verdict: str) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import density
+
     host = _load_hypergraph(args.file)
     if args.notion == "profile":
         grid = [float(x) for x in args.eta_grid.split(",")] if args.eta_grid else [1.0]
@@ -126,22 +139,12 @@ def cmd_audit(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import ternary
+
     f = args.f
     if f > 5:
         raise ValueError("sweep is limited to f <= 5")
-    counts = {"frequent_and_orderable": 0, "orderable_only": 0, "neither": 0,
-              "frequent_not_orderable": 0}
-    for pattern in hypergraphs.enumerate_hypergraphs(3, f):
-        orderable = rainbow.find_rainbow_ordering(pattern) is not None
-        frequent = ternary.is_frequent(pattern)
-        if frequent and orderable:
-            counts["frequent_and_orderable"] += 1
-        elif frequent:
-            counts["frequent_not_orderable"] += 1
-        elif orderable:
-            counts["orderable_only"] += 1
-        else:
-            counts["neither"] += 1
+    counts = ternary.classify_patterns(f)
     consistent = counts["frequent_not_orderable"] == 0
     result = {"f": f, "patterns": sum(counts.values()), "classes": counts,
               "consistent": consistent}
@@ -150,6 +153,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reduced(args) -> int:
+    from . import reduced
+
     rh = reduced.parse_reduced_json(Path(args.file).read_text())
     if args.action == "select":
         selection = reduced.select_rainbow_core(rh, args.mu, args.f)
@@ -168,6 +173,8 @@ def cmd_reduced(args) -> int:
 
 
 def cmd_verify_fact7(args) -> int:
+    from . import inequalities
+
     minimum, point = inequalities.scan_inequality(args.resolution)
     identity_gap = abs(
         2.0 ** (inequalities.TAU - 1.0) - 3.0 ** (inequalities.TAU - 3.0)
@@ -186,6 +193,8 @@ def cmd_verify_fact7(args) -> int:
 
 
 def cmd_audit_tn(args) -> int:
+    from . import inequalities
+
     report = inequalities.audit_kary_subsets(
         args.level, mode=args.mode, samples=args.samples, seed=args.seed,
         allow_large=args.allow_large,
@@ -195,6 +204,8 @@ def cmd_audit_tn(args) -> int:
 
 
 def cmd_optimality(args) -> int:
+    from . import inequalities
+
     stats = inequalities.binary_prefix_slice(args.r, args.n)
     result = {
         "r": stats.r, "n": stats.n, "eta": stats.eta, "size": stats.size,
@@ -205,6 +216,8 @@ def cmd_optimality(args) -> int:
 
 
 def cmd_supersat(args) -> int:
+    from . import inequalities
+
     pattern = _load_hypergraph(args.file)
     report = inequalities.supersaturation_experiment(pattern, n_max=args.nmax)
     _emit(_envelope(args, "supersat", report.to_dict(), file=args.file, nmax=args.nmax), args)

@@ -163,8 +163,8 @@ def _fill_subset_counts(out: np.ndarray, k: int, edges: Sequence[tuple[int, ...]
 def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]:
     """m(s) = min e(U) over |U| = s for s = 0..n, and a function giving the
     masks that attain m(s).  The tables take 5 * 2**n bytes (int32, uint8)."""
-    # imported here, not at the top: numpy loaded ahead of the package's later
-    # modules raises the peak RSS of `import hyperdense` by about 2 MB
+    # imported here, not at the top: only the exact audits need numpy, and
+    # commands that run none of them start without loading it
     import numpy as np
 
     counts = np.empty(1 << h.n, dtype=np.int32)

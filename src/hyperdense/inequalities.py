@@ -20,21 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .hypergraphs import Hypergraph, count_homomorphisms
 from .seeding import subseed
 from .ternary import build_kary, find_kary_embedding
 
+if TYPE_CHECKING:
+    import numpy as np
+
 RHO = 2.0 / (math.log2(3.0) - 1.0)
 TAU = RHO + 3.0
-
-
-@dataclass(frozen=True)
-class PowerConstants:
-    rho: float = RHO
-    tau: float = TAU
 
 
 def inequality_gap(x: float, y: float, z: float) -> float:
@@ -45,6 +41,8 @@ def inequality_gap(x: float, y: float, z: float) -> float:
 def scan_inequality(resolution: int) -> tuple[float, tuple[float, float, float]]:
     """Minimum of the gap over the uniform grid on [0,1]^3 (endpoints
     included) and a point attaining it."""
+    import numpy as np
+
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     grid = np.linspace(0.0, 1.0, resolution)
@@ -109,6 +107,8 @@ def audit_kary_subsets(
     uniformly.  Expected outcome is an empty violation list; any violation
     is returned with its full arithmetic.
     """
+    import numpy as np
+
     if level < 1:
         raise ValueError("level must be >= 1")
     if mode not in ("exact", "sampled"):

@@ -363,12 +363,18 @@ def select_two_indices(
     elements = {s: greens[(s, z)] for s in kept}
     for a, r in enumerate(kept):
         for s in kept[a + 1:]:
-            assert elements[s] in pools[(r, s)]
+            if elements[s] not in pools[(r, s)]:
+                raise RuntimeError(f"element for index {s} leaves pool {(r, s)}")
     return kept, elements
 
 
 # ---------------------------------------------------------------------------
 # the end-to-end pipeline
+
+
+def _check_floor(cset: frozenset, floor: float, stage: str) -> None:
+    if len(cset) < floor - 1e-9:
+        raise RuntimeError(f"{stage} candidate set has {len(cset)} elements, below {floor}")
 
 
 def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[CoreSelection]:
@@ -389,10 +395,11 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
     for triple in combinations(range(m), 3):
         i, j, k = triple
         cset = red_candidates(rh, mu / 2, triple)
-        assert len(cset) >= mu / 2 * rh.class_sizes[(i, j)] - 1e-9
+        _check_floor(cset, mu / 2 * rh.class_sizes[(i, j)], "red")
         cand_red[triple] = cset
     res = select_red(SelectionInstance(m, classes, cand_red), mu / 2, None)
-    assert res is not None  # m = None never fails
+    if res is None:
+        raise RuntimeError("red selection without a target size failed")
     X, reds = res
     if len(X) < f:
         return None
@@ -411,10 +418,11 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
             if e[0] == p_red:
                 pair_counts[e[1]] += 1
         cset = frozenset(q for q, cnt in enumerate(pair_counts) if cnt >= threshold)
-        assert len(cset) >= mu / 4 * rh.class_sizes[(i, k)] - 1e-9
+        _check_floor(cset, mu / 4 * rh.class_sizes[(i, k)], "blue")
         cand_blue[(a, b, c)] = cset
     res = select_blue(SelectionInstance(len(X), classes_blue, cand_blue), mu / 4, None)
-    assert res is not None
+    if res is None:
+        raise RuntimeError("blue selection without a target size failed")
     Y_pos, blues_pos = res
     if len(Y_pos) < f:
         return None
@@ -433,7 +441,7 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
         cset = frozenset(
             e[2] for e in rh.edges_of((i, j, k)) if e[0] == p_red and e[1] == q_blue
         )
-        assert len(cset) >= mu / 4 * rh.class_sizes[(j, k)] - 1e-9
+        _check_floor(cset, mu / 4 * rh.class_sizes[(j, k)], "green")
         cand_green[(a, b, c)] = cset
     res = select_green(SelectionInstance(len(W), classes_green, cand_green), mu / 4, f)
     if res is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .hypergraphs import Hypergraph
+from .hypergraphs import Hypergraph, enumerate_hypergraphs
 
 KaryVector = tuple[int, ...]
 
@@ -197,6 +197,30 @@ def verify_kary_embedding(pattern: Hypergraph, witness: EmbeddingWitness) -> boo
 def is_frequent(pattern: Hypergraph) -> bool:
     """Whether the pattern embeds into some digit-string host."""
     return find_kary_embedding(pattern) is not None
+
+
+def classify_patterns(f: int) -> dict[str, int]:
+    """Class counts of every labeled 3-uniform pattern on f vertices under
+    the two deciders: frequent (embeds into a digit-string host) and
+    orderable (admits a conflict-free rainbow ordering).  Frequent patterns
+    are orderable, so "frequent_not_orderable" counts counterexamples."""
+    # the rainbow decider is loaded by the sweep alone
+    from .rainbow import find_rainbow_ordering
+
+    counts = {"frequent_and_orderable": 0, "orderable_only": 0, "neither": 0,
+              "frequent_not_orderable": 0}
+    for pattern in enumerate_hypergraphs(3, f):
+        orderable = find_rainbow_ordering(pattern) is not None
+        frequent = is_frequent(pattern)
+        if frequent and orderable:
+            counts["frequent_and_orderable"] += 1
+        elif frequent:
+            counts["frequent_not_orderable"] += 1
+        elif orderable:
+            counts["orderable_only"] += 1
+        else:
+            counts["neither"] += 1
+    return counts
 
 
 def embedding_to_dict(witness: EmbeddingWitness) -> dict:

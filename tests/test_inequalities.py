@@ -14,7 +14,7 @@ from hyperdense import (
     scan_inequality,
     supersaturation_experiment,
 )
-from hyperdense.inequalities import PowerConstants, density_floor
+from hyperdense.inequalities import density_floor
 from hyperdense.ternary import vector_of
 
 
@@ -34,11 +34,6 @@ def test_exponent_identity():
 
 def test_two_thirds_power_is_one_quarter():
     assert abs((2.0 / 3.0) ** RHO - 0.25) < 1e-12
-
-
-def test_constants_dataclass_defaults():
-    c = PowerConstants()
-    assert c.rho == RHO and c.tau == TAU
 
 
 # --- the cube inequality ---------------------------------------------------------

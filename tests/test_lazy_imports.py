@@ -1,0 +1,124 @@
+"""The package and the CLI load a module only when a caller uses it.
+
+The load checks run in a fresh interpreter each, because this test process
+has already imported every module.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hyperdense
+from conftest import C5_MINUS_TEXT
+
+# every name the package exports, by the module that defines it
+EXPORTS = {
+    "hypergraphs": [
+        "Hypergraph", "HypergraphParseError", "VertexMap", "complete_hypergraph",
+        "contains_copy", "count_embeddings", "count_homomorphisms", "enumerate_hypergraphs",
+        "induced_edge_count", "is_embedding", "parse_hypergraph", "relabel",
+        "serialize_hypergraph", "shadow",
+    ],
+    "rainbow": [
+        "Conflict", "PairColouring", "ShadowColouring", "build_pattern_host",
+        "find_rainbow_ordering", "forced_colouring", "random_pair_colouring",
+        "verify_rainbow_colouring",
+    ],
+    "ternary": [
+        "EmbeddingWitness", "build_kary", "find_kary_embedding", "is_frequent", "kary_edge",
+        "kary_edge_count", "verify_kary_embedding",
+    ],
+    "density": [
+        "DensityQuery", "DensityReport", "ProfileReport", "density_profile",
+        "triple_density_check", "verify_density_certificate", "vertex_density_check",
+    ],
+    "reduced": [
+        "CoreSelection", "MuDensityError", "ReducedHypergraph", "is_mu_dense",
+        "select_rainbow_core", "verify_core",
+    ],
+    "inequalities": [
+        "RHO", "TAU", "audit_kary_subsets", "binary_prefix_slice", "inequality_gap",
+        "scan_inequality", "supersaturation_experiment",
+    ],
+}
+
+LOADED = "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('hyperdense.'))"
+
+
+def fresh(script: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    proc = fresh(f"import json, sys\nimport hyperdense\nprint(json.dumps({LOADED}))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["decide-pi1", "{file}"], ["cli", "hypergraphs", "rainbow", "seeding"]),
+        (["optimality", "--r", "1", "--n", "2"], ["cli", "hypergraphs", "inequalities", "seeding", "ternary"]),
+    ],
+)
+def test_cli_command_loads_only_its_modules(tmp_path, argv, loaded):
+    path = tmp_path / "c5.hyg"
+    path.write_text(C5_MINUS_TEXT)
+    argv = [a.format(file=path) for a in argv]
+    script = (
+        "import json, sys\n"
+        "from hyperdense import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, {LOADED}]), file=sys.stderr)\n"
+    )
+    proc = fresh(script)
+    code, modules = json.loads(proc.stderr)
+    assert code == 0
+    assert json.loads(proc.stdout)["command"] == argv[0]
+    assert modules == [f"hyperdense.{m}" for m in loaded]
+
+
+def test_cli_numpy_command_in_fresh_process():
+    script = (
+        "import json, sys\n"
+        "from hyperdense import cli\n"
+        "code = cli.main(['verify-fact7', '--resolution', '11'])\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    proc = fresh(script)
+    assert json.loads(proc.stderr) == [0, True]
+    result = json.loads(proc.stdout)["result"]
+    assert result["resolution"] == 11 and result["minimum"] >= -1e-9
+
+
+# --- the export table -------------------------------------------------------------
+
+
+def test_all_lists_every_export():
+    assert sorted(hyperdense.__all__) == sorted(n for names in EXPORTS.values() for n in names)
+    assert len(hyperdense.__all__) == 49
+
+
+def test_each_export_is_its_module_object():
+    for module, names in EXPORTS.items():
+        source = importlib.import_module(f"hyperdense.{module}")
+        for name in names:
+            assert getattr(hyperdense, name) is getattr(source, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(hyperdense, "no_such_name")
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from hyperdense import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(hyperdense.__all__)

@@ -269,6 +269,17 @@ def test_pipeline_rejects_sparse_input():
         select_rainbow_core(ReducedHypergraph(4, rh.class_sizes, cons), 0.5, 3)
 
 
+@pytest.mark.parametrize(
+    "stage, value",
+    [("select_red", None), ("select_blue", None), ("red_candidates", frozenset())],
+)
+def test_pipeline_stage_fault_raises_runtime_error(monkeypatch, stage, value):
+    # explicit checks, not asserts: they must also hold under python -O
+    monkeypatch.setattr(f"hyperdense.reduced.{stage}", lambda *args: value)
+    with pytest.raises(RuntimeError):
+        select_rainbow_core(complete_reduced(5, 2), 1.0, 3)
+
+
 def test_pipeline_random_instances_no_unverified_success():
     rng = derive_rng(23, "pipeline")
     successes = 0
