@@ -24,7 +24,8 @@ def main() -> None:
             f"level {level} ({report.mode}): {report.examined} subsets,"
             f" {len(report.violations)} violations, {time.time() - t0:.1f}s"
         )
-        assert not report.violations
+        if report.violations:
+            raise SystemExit(f"level {level}: {len(report.violations)} violations of the subset floor")
 
     print(f"\n{'r':>2} {'n':>2} {'eta':>8} {'size':>6} {'edges':>8} {'ratio':>10}")
     for n in range(1, 7):

@@ -10,11 +10,15 @@ Three notions are audited:
            subsets with |U| >= ceil(eta * n).
 
 Exact mode reads one numpy table of e(U) for every subset U (vertex and
-profile) or, per X, the codegrees of every Y at once (triple); heuristic
-mode uses seeded multi-start local search (vertex/profile) or alternating
-closed-form coordinate descent (triple).  A "violated" verdict always
-carries a certificate that re-verifies with negative slack; heuristic mode
-never claims "satisfied", only "unresolved".
+profile) or, per X, the codegrees of every Y at once (triple).  Heuristic
+mode runs, for vertex and profile, one steepest single-flip descent from
+seeded random starts: each move flips the vertex that lowers the objective
+(slack, or relative density) most, by more than 1e-12, and the lowest such
+vertex on ties; the profile descent starts at or above the size floor
+max(ceil(eta * n), k) and never removes a vertex below it.  The triple
+notion uses alternating closed-form coordinate descent.  A "violated"
+verdict always carries a certificate that re-verifies with negative
+slack; heuristic mode never claims "satisfied", only "unresolved".
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ TRIPLE_EXACT_LIMIT = 10
 _CEIL_GUARD = 1e-9
 
 
+def _check_search(budget: int, restarts: int) -> None:
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+
+
 @dataclass
 class DensityQuery:
     """Audit parameters; restarts and budget only matter in heuristic mode."""
@@ -54,10 +65,7 @@ class DensityQuery:
             raise ValueError(f"d must lie in [0, 1], got {self.d}")
         if self.eta <= 0.0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        _check_search(self.budget, self.restarts)
         if self.mode not in ("exact", "heuristic"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -234,6 +242,37 @@ def _vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     )
 
 
+def _descend(others: list[list[int]], mask: int, k: int, budget: int, floor: int, score):
+    """Steepest single-vertex-flip descent from mask, over at most budget
+    moves; yields (mask, size, inside) at the start and after every move.
+
+    A move flips the lowest vertex whose score(inside, size, di, ns) -- di
+    the change in inside edges, ns the new size -- beats the best so far by
+    1e-12, the best starting at the score of staying put; no move leaves
+    fewer than floor vertices."""
+    size = mask.bit_count()
+    # each inside edge is seen once per contained vertex, hence the // k
+    inside = sum(1 for v, om in enumerate(others) if mask >> v & 1 for e in om if e & mask == e) // k
+    yield mask, size, inside
+    for _ in range(budget):
+        move, best, move_di = -1, score(inside, size, 0, size), 0
+        for v, om in enumerate(others):
+            member = mask >> v & 1
+            if member and size <= floor:
+                continue
+            deg = sum(1 for e in om if e & mask == e)  # om excludes v, so this is v's inside degree
+            di, ns = (-deg, size - 1) if member else (deg, size + 1)
+            cand = score(inside, size, di, ns)
+            if cand < best - 1e-12:
+                move, best, move_di = v, cand, di
+        if move < 0:
+            return
+        mask ^= 1 << move
+        size += 1 if mask >> move & 1 else -1
+        inside += move_di
+        yield mask, size, inside
+
+
 def _vertex_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
     n = h.n
     binom = [comb(s, h.k) for s in range(n + 1)]
@@ -244,39 +283,15 @@ def _vertex_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
     steps_total = 0
     for r in range(query.restarts):
         rng = derive_rng(query.seed, f"vertex/{r}")
-        mask = rng.getrandbits(n) if n else 0
-        size = bin(mask).count("1")
-        # each inside edge is seen once per contained vertex, hence the // k
-        inside = sum(
-            1 for v in range(n) if mask >> v & 1 for om in others[v] if om & mask == om
-        ) // h.k
-        slack = inside - query.d * binom[size] + penalty
-        if slack < best_slack:
-            best_slack, best_mask = slack, mask
-        for _ in range(query.budget):
-            steps_total += 1
-            chosen_v = -1
-            chosen_delta = 0.0
-            chosen_di = 0
-            for v in range(n):
-                bit = 1 << v
-                if mask & bit:
-                    di = -sum(1 for om in others[v] if om & mask == om)
-                    ns = size - 1
-                else:
-                    di = sum(1 for om in others[v] if om & (mask | bit) == om)
-                    ns = size + 1
-                delta = di - query.d * (binom[ns] - binom[size])
-                if delta < chosen_delta - 1e-12:
-                    chosen_v, chosen_delta, chosen_di = v, delta, di
-            if chosen_v < 0:
-                break
-            mask ^= 1 << chosen_v
-            size = size + 1 if mask >> chosen_v & 1 else size - 1
-            inside += chosen_di
+        start = rng.getrandbits(n) if n else 0
+        descent = _descend(others, start, h.k, query.budget, 0,
+                           lambda inside, size, di, ns: di - query.d * (binom[ns] - binom[size]))
+        for states, (mask, size, inside) in enumerate(descent, 1):
             slack = inside - query.d * binom[size] + penalty
             if slack < best_slack:
                 best_slack, best_mask = slack, mask
+        # a step is a scan for a move, the last one finding none unless the budget ran out
+        steps_total += min(states, query.budget)
     subset = _decode(best_mask, n)
     violated = best_slack < 0
     return DensityReport(
@@ -448,6 +463,7 @@ def density_profile(
     for eta in eta_grid:
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"eta values must lie in (0, 1], got {eta}")
+    _check_search(budget, restarts)
     if mode == "exact":
         if h.n > VERTEX_EXACT_LIMIT:
             raise ValueError(f"exact mode limited to n <= {VERTEX_EXACT_LIMIT}")
@@ -489,44 +505,10 @@ def _profile_heuristic(
         best_mask = 0
         for r in range(restarts):
             rng = derive_rng(seed, f"profile/{eta}/{r}")
-            chosen = rng.sample(range(n), rng.randint(floor, n))
-            mask = 0
-            for v in chosen:
-                mask |= 1 << v
-            size = len(chosen)
-            inside = sum(
-                1 for v in chosen for om in others[v] if om & mask == om
-            ) // k
-            ratio = inside / binom[size]
-            if ratio < best_ratio:
-                best_ratio, best_mask = ratio, mask
-            for _ in range(budget):
-                move_v = -1
-                move_ratio = ratio
-                for v in range(n):
-                    bit = 1 << v
-                    if mask & bit:
-                        if size - 1 < floor:
-                            continue
-                        di = -sum(1 for om in others[v] if om & mask == om)
-                        ns = size - 1
-                    else:
-                        di = sum(1 for om in others[v] if om & (mask | bit) == om)
-                        ns = size + 1
-                    cand = (inside + di) / binom[ns]
-                    if cand < move_ratio - 1e-12:
-                        move_v, move_ratio = v, cand
-                if move_v < 0:
-                    break
-                bit = 1 << move_v
-                if mask & bit:
-                    inside -= sum(1 for om in others[move_v] if om & mask == om)
-                    mask ^= bit
-                    size -= 1
-                else:
-                    mask |= bit
-                    size += 1
-                    inside += sum(1 for om in others[move_v] if om & mask == om)
+            start = sum(1 << v for v in rng.sample(range(n), rng.randint(floor, n)))
+            descent = _descend(others, start, k, budget, floor,
+                               lambda inside, size, di, ns: (inside + di) / binom[ns])
+            for mask, size, inside in descent:
                 ratio = inside / binom[size]
                 if ratio < best_ratio:
                     best_ratio, best_mask = ratio, mask

@@ -183,12 +183,16 @@ def reverse_instance(inst: SelectionInstance) -> SelectionInstance:
     return SelectionInstance(M, classes, candidates)
 
 
+# per selection, the pair of a triple r < s < t whose element its candidates refine
+_PAIR_OF = {
+    "first": lambda r, s, t: (r, s),
+    "outer": lambda r, s, t: (r, t),
+    "last": lambda r, s, t: (s, t),
+}
+
+
 def _check_margins(inst: SelectionInstance, eps: float, anchor: str) -> None:
-    pair_of = {
-        "first": lambda r, s, t: (r, s),
-        "outer": lambda r, s, t: (r, t),
-        "last": lambda r, s, t: (s, t),
-    }[anchor]
+    pair_of = _PAIR_OF[anchor]
     for r, s, t in combinations(range(inst.size), 3):
         pair = pair_of(r, s, t)
         cand = inst.candidates.get((r, s, t))
@@ -203,41 +207,21 @@ def _check_margins(inst: SelectionInstance, eps: float, anchor: str) -> None:
             )
 
 
-def verify_red_selection(inst: SelectionInstance, indices: Sequence[int], choices: dict[Pair, object]) -> bool:
-    idx = list(indices)
-    for a, r in enumerate(idx):
-        for s in idx[a + 1:]:
-            elem = choices.get((r, s))
-            if elem is None or elem not in inst.classes[(r, s)]:
-                return False
-            for t in idx:
-                if t > s and elem not in inst.candidates[(r, s, t)]:
-                    return False
-    return True
-
-
-def verify_blue_selection(inst: SelectionInstance, indices: Sequence[int], choices: dict[Pair, object]) -> bool:
-    idx = list(indices)
-    for r, t in combinations(idx, 2):
-        elem = choices.get((r, t))
-        if elem is None or elem not in inst.classes[(r, t)]:
+def verify_selection(
+    inst: SelectionInstance, indices: Sequence[int], choices: dict[Pair, object], anchor: str
+) -> bool:
+    """Whether choices give every pair of the increasing indices an element
+    of its class, and every triple r < s < t of them an element of its
+    candidates at its anchor pair: (r, s) for "first" (red), (r, t) for
+    "outer" (blue), (s, t) for "last" (green)."""
+    pair_of = _PAIR_OF[anchor]
+    for pair in combinations(indices, 2):
+        elem = choices.get(pair)
+        if elem is None or elem not in inst.classes[pair]:
             return False
-        for s in idx:
-            if r < s < t and elem not in inst.candidates[(r, s, t)]:
-                return False
-    return True
-
-
-def verify_green_selection(inst: SelectionInstance, indices: Sequence[int], choices: dict[Pair, object]) -> bool:
-    idx = list(indices)
-    for s, t in combinations(idx, 2):
-        elem = choices.get((s, t))
-        if elem is None or elem not in inst.classes[(s, t)]:
-            return False
-        for r in idx:
-            if r < s and elem not in inst.candidates[(r, s, t)]:
-                return False
-    return True
+    return all(
+        choices[pair_of(r, s, t)] in inst.candidates[(r, s, t)] for r, s, t in combinations(indices, 3)
+    )
 
 
 def select_red(
@@ -272,7 +256,7 @@ def select_red(
         alive = future
     if m is not None and len(chosen) < m:
         return None
-    if not verify_red_selection(inst, chosen, choices):
+    if not verify_selection(inst, chosen, choices, "first"):
         raise RuntimeError("red selection does not verify")
     return tuple(chosen), choices
 
@@ -292,7 +276,7 @@ def select_green(
     choices = {
         (M - 1 - b, M - 1 - a): elem for (a, b), elem in rev_choices.items()
     }
-    if not verify_green_selection(inst, indices, choices):
+    if not verify_selection(inst, indices, choices, "last"):
         raise RuntimeError("green selection does not verify")
     return indices, choices
 
@@ -331,7 +315,7 @@ def select_blue(
             break
     if m is not None and len(chosen) < m:
         return None
-    if not verify_blue_selection(inst, chosen, choices):
+    if not verify_selection(inst, chosen, choices, "outer"):
         raise RuntimeError("blue selection does not verify")
     return tuple(chosen), choices
 

@@ -150,6 +150,17 @@ def test_audit_profile(tmp_path, capsys):
     assert abs(entry["density"] - 30 / 84) < 1e-12
 
 
+@pytest.mark.parametrize("flag, message", [("--restarts", "restarts must be >= 1"), ("--budget", "budget must be >= 1")])
+def test_audit_profile_heuristic_rejects_empty_search(tmp_path, capsys, flag, message):
+    path = write(tmp_path, "k4.hyg", K4_TEXT)
+    code, out, err = run(
+        capsys, "audit", "profile", path, "--mode", "heuristic", flag, "0", "--eta-grid", "0.5",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_sweep_small(capsys):
     code, out, _ = run(capsys, "sweep", "3")
     assert code == 0

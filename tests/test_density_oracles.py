@@ -1,5 +1,7 @@
-"""The exact density audits against their Gray-code reference scans.
+"""The density audits against their reference implementations.
 
+The exact audits are checked against Gray-code scans, and the vertex and
+profile heuristics against their two original hand-written descents.
 Reports must agree byte for byte: slack, verdict, certificate, argmin,
 stats and every profile entry.  Empty and complete hosts and d in {0, 1}
 are drawn often, because they tie many subsets and exercise the
@@ -15,16 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gray_oracles import profile_exact, triple_exact, vertex_exact
+from heuristic_oracles import profile_heuristic, vertex_heuristic
 from hyperdense import DensityQuery, Hypergraph, density_profile
-from hyperdense.density import _triple_exact, _vertex_exact
+from hyperdense.density import _triple_exact, _vertex_exact, _vertex_heuristic
 
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def hosts(draw, max_n, uniformities=(2, 3, 4)):
+def hosts(draw, max_n, uniformities=(2, 3, 4), often_below_k=False):
     k = draw(st.sampled_from(uniformities))
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(0, k - 1) if often_below_k and draw(st.booleans()) else st.integers(0, max_n))
     candidates = list(combinations(range(n), k))
     kind = draw(st.sampled_from(["empty", "complete", "random"]))
     if kind == "empty":
@@ -39,6 +42,10 @@ def hosts(draw, max_n, uniformities=(2, 3, 4)):
 
 densities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 etas = st.one_of(st.sampled_from([0.001, 0.03, 0.5, 1.0]), st.floats(1e-4, 1.0))
+grid_etas = st.one_of(st.sampled_from([0.25, 2 / 3, 1.0]), st.floats(0.01, 1.0))
+budgets = st.integers(1, 30)
+restart_counts = st.integers(1, 6)
+seeds = st.integers(0, 2**32)
 
 
 def same(report, reference) -> bool:
@@ -53,7 +60,7 @@ def test_vertex_exact_matches_gray_scan(h, d, eta):
 
 
 @ORACLE_SETTINGS
-@given(hosts(max_n=10), st.lists(st.one_of(st.sampled_from([0.25, 2 / 3, 1.0]), st.floats(0.01, 1.0)), min_size=1))
+@given(hosts(max_n=10), st.lists(grid_etas, min_size=1))
 def test_profile_exact_matches_gray_scan(h, grid):
     assert same(density_profile(h, grid), profile_exact(h, grid))
 
@@ -63,3 +70,19 @@ def test_profile_exact_matches_gray_scan(h, grid):
 def test_triple_exact_matches_gray_scan(h, d, eta):
     query = DensityQuery(d=d, eta=eta)
     assert same(_triple_exact(h, query), triple_exact(h, query))
+
+
+@ORACLE_SETTINGS
+@given(hosts(max_n=10), densities, etas, budgets, restart_counts, seeds)
+def test_vertex_heuristic_matches_reference_descent(h, d, eta, budget, restarts, seed):
+    query = DensityQuery(d=d, eta=eta, mode="heuristic", budget=budget, restarts=restarts, seed=seed)
+    assert same(_vertex_heuristic(h, query), vertex_heuristic(h, query))
+
+
+@ORACLE_SETTINGS
+# n < k half the time: then every eta's size floor exceeds n and the entry is empty
+@given(hosts(max_n=10, often_below_k=True), st.lists(grid_etas, min_size=1, max_size=4),
+       budgets, restart_counts, seeds)
+def test_profile_heuristic_matches_reference_descent(h, grid, budget, restarts, seed):
+    report = density_profile(h, grid, mode="heuristic", budget=budget, restarts=restarts, seed=seed)
+    assert same(report, profile_heuristic(h, grid, budget, restarts, seed))

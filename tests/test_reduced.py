@@ -27,8 +27,7 @@ from hyperdense.reduced import (
     selection_from_dict,
     selection_to_dict,
     serialize_reduced_json,
-    verify_green_selection,
-    verify_red_selection,
+    verify_selection,
 )
 from hyperdense.seeding import derive_rng
 
@@ -134,7 +133,7 @@ def test_select_red_full_candidates_takes_prefix():
         assert res is not None
         indices, choices = res
         assert indices == tuple(range(m))
-        assert verify_red_selection(inst, indices, choices)
+        assert verify_selection(inst, indices, choices, "first")
 
 
 def test_select_red_maximal_mode():
@@ -166,7 +165,7 @@ def test_select_red_random_instances_verify():
         res = select_red(inst, 1 / 3, 3)
         if res is not None:
             indices, choices = res
-            assert verify_red_selection(inst, indices, choices)
+            assert verify_selection(inst, indices, choices, "first")
 
 
 def test_reverse_instance_is_involution():
@@ -192,7 +191,7 @@ def test_select_green_equals_manually_reversed_red():
             assert red_on_reversed is None
             continue
         indices, choices = green
-        assert verify_green_selection(inst, indices, choices)
+        assert verify_selection(inst, indices, choices, "last")
         rev_indices, rev_choices = red_on_reversed
         assert indices == tuple(sorted(6 - x for x in rev_indices))
         assert choices == {(6 - b, 6 - a): e for (a, b), e in rev_choices.items()}
@@ -206,6 +205,22 @@ def test_select_blue_full_and_tiny():
     assert len(indices) == 4
     res = select_blue(inst, 1.0, 2)  # no middle index exists
     assert res is not None and len(res[0]) == 2
+
+
+@pytest.mark.parametrize("select, anchor, pair", [
+    (select_red, "first", (0, 1)),
+    (select_blue, "outer", (0, 2)),
+    (select_green, "last", (1, 2)),
+])
+def test_verify_selection_rejects_one_broken_element(select, anchor, pair):
+    # only element 0 of the class {0, 1} is a candidate of the triple (0, 1, 2)
+    inst = build_instance(4, (0, 1), lambda t: (0,) if t == (0, 1, 2) else (0, 1))
+    indices, choices = select(inst, 0.5, None)
+    assert indices == (0, 1, 2, 3) and choices[pair] == 0
+    assert verify_selection(inst, indices, choices, anchor)
+    # 1 leaves the triple's candidates, 2 leaves the class, None leaves the pair without an element
+    for broken in (1, 2, None):
+        assert not verify_selection(inst, indices, {**choices, pair: broken}, anchor)
 
 
 def test_select_two_indices_full_pools():
