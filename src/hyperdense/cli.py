@@ -6,7 +6,8 @@ Exit codes: 0 affirmative/satisfied, 1 negative/violated/none,
 Every report embeds the run configuration, including the seed.
 
 Each command imports the modules it runs inside its body, so a cold start
-loads only those (and numpy only where an exact audit or scan needs it).
+loads only those (and numpy only where an exact density audit, the cube
+scan or a sampled subset audit needs it).
 """
 
 from __future__ import annotations
@@ -195,10 +196,7 @@ def cmd_verify_fact7(args) -> int:
 def cmd_audit_tn(args) -> int:
     from . import inequalities
 
-    report = inequalities.audit_kary_subsets(
-        args.level, mode=args.mode, samples=args.samples, seed=args.seed,
-        allow_large=args.allow_large,
-    )
+    report = inequalities.audit_kary_subsets(args.level, mode=args.mode, samples=args.samples, seed=args.seed)
     _emit(_envelope(args, "audit-tn", report.to_dict(), level=args.level, mode=args.mode), args)
     return EXIT_OK if not report.violations else EXIT_NEGATIVE
 
@@ -313,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-large", action="store_true")
 
     p = add("optimality", cmd_optimality,
             "exact statistics of the binary-prefix slice {0,1}^r x {0,1,2}^(n-r)")

@@ -504,7 +504,7 @@ def _profile_heuristic(
         best_ratio = inf
         best_mask = 0
         for r in range(restarts):
-            rng = derive_rng(seed, f"profile/{eta}/{r}")
+            rng = derive_rng(seed, f"profile/{float(eta)}/{r}")
             start = sum(1 << v for v in rng.sample(range(n), rng.randint(floor, n)))
             descent = _descend(others, start, k, budget, floor,
                                lambda inside, size, di, ns: (inside + di) / binom[ns])

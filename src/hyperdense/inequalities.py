@@ -11,9 +11,14 @@ per-subset edge floor inside the depth-l ternary host,
 
     e(X) >= eta**rho / 4 * |X|**3 / 6 - 3/8 * 3**l,   eta = |X| / 3**l,
 
-which the audit checks exhaustively (small l) or by sampling, and which
-the binary-prefix slices {0,1}**r x {0,1,2}**(n-r) meet asymptotically
-with ratio 1 - 9**-(n-r).
+which the binary-prefix slices {0,1}**r x {0,1,2}**(n-r) meet
+asymptotically with ratio 1 - 9**-(n-r).  The floor depends on |X| alone,
+and the host splits into three first-digit blocks whose transversal
+triples are its remaining edges, so the least e(X) at each size follows
+from the same minima one level down: the exact audit checks every subset
+up to level KARY_EXACT_LIMIT without building the host.  The sampled audit
+counts drawn subsets by the same split, and the supersaturation counts
+hom(F, T_n) come from the host's recursion in `ternary.kary_hom_count`.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .hypergraphs import Hypergraph, count_homomorphisms
+from .hypergraphs import Hypergraph
 from .seeding import subseed
-from .ternary import build_kary, find_kary_embedding
+from .ternary import find_kary_embedding, kary_hom_count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -88,84 +93,105 @@ def density_floor(size: int, level: int) -> float:
     return 0.25 * eta**RHO * size**3 / 6.0 - 0.375 * 3**level
 
 
-_EXACT_DEFAULT_LEVEL = 2
+KARY_EXACT_LIMIT = 5
+SUPERSAT_DEPTH_LIMIT = 64
 _FLOAT_TOLERANCE = 1e-9
+_SAMPLE_SLICE = 1 << 15
+
+
+def _size_minima(level: int) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+    """m_l(s), the least e(X) over |X| = s in the depth-l host, for every s,
+    by the host's split: m_l(s) = min over s0+s1+s2 = s of
+    m_{l-1}(s0) + m_{l-1}(s1) + m_{l-1}(s2) + s0*s1*s2.  Also returns, per
+    level, the block sizes (s0, s1, s2) that attain each minimum."""
+    minima = [0, 0]
+    choices: list[list[tuple[int, int, int]]] = []
+    for _ in range(level):
+        best = [-1] * (3 * len(minima) - 2)
+        choice = [(0, 0, 0)] * len(best)
+        for s0, m0 in enumerate(minima):
+            for s1, m1 in enumerate(minima):
+                for s2, m2 in enumerate(minima):
+                    s, e = s0 + s1 + s2, m0 + m1 + m2 + s0 * s1 * s2
+                    if best[s] < 0 or e < best[s]:
+                        best[s], choice[s] = e, (s0, s1, s2)
+        minima = best
+        choices.append(choice)
+    return minima, choices
+
+
+def _extremal_subset(choices: list[list[tuple[int, int, int]]], level: int, size: int) -> list[int]:
+    """The vertices of one X of the given size attaining m_level(size)."""
+    if level == 0:
+        return [0] if size else []
+    block = 3 ** (level - 1)
+    return [
+        c * block + v
+        for c, s in enumerate(choices[level - 1][size])
+        for v in _extremal_subset(choices, level - 1, s)
+    ]
+
+
+def _split_counts(masks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """(e(X), |X|) for each mask X of the depth-level host, by the same
+    split: the three first-digit blocks of X span s0*s1*s2 transversal
+    edges, and each block holds its own edges one level down."""
+    if level == 0:
+        return masks & 0, masks
+    block = 3 ** (level - 1)
+    low = (1 << block) - 1
+    counts, product, sizes = 0, 1, 0
+    for c in range(3):
+        e, s = _split_counts((masks >> (c * block)) & low, level - 1)
+        counts, product, sizes = counts + e, product * s, sizes + s
+    return counts + product, sizes
 
 
 def audit_kary_subsets(
-    level: int,
-    mode: str = "exact",
-    samples: int = 10**6,
-    seed: int = 0,
-    allow_large: bool = False,
-    batch: int = 1 << 18,
+    level: int, mode: str = "exact", samples: int = 10**6, seed: int = 0
 ) -> SubsetAuditReport:
     """Check the per-subset edge floor inside the depth-level ternary host.
 
-    Exact mode enumerates all 2**(3**level) subsets (level 3 only behind
-    allow_large; that is 2**27 subsets).  Sampled mode draws subsets
-    uniformly.  Expected outcome is an empty violation list; any violation
-    is returned with its full arithmetic.
+    The floor depends on |X| alone, so exact mode (level <= KARY_EXACT_LIMIT)
+    covers all 2**(3**level) subsets through m_l(s) and lists one extremal
+    subset for each size that falls below it.  Sampled mode (level <= 3,
+    int64 masks) draws subsets uniformly and counts each by the same split.
+    Expected outcome is an empty violation list; any violation is returned
+    with its full arithmetic.
     """
-    import numpy as np
-
     if level < 1:
         raise ValueError("level must be >= 1")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and level > _EXACT_DEFAULT_LEVEL and not allow_large:
-        raise ValueError(
-            f"exact mode above level {_EXACT_DEFAULT_LEVEL} enumerates 2**{3**level}"
-            " subsets; pass allow_large=True to run it anyway"
-        )
-    host = build_kary(3, level, max_vertices=3**level)
-    n = host.n
-    edge_masks = np.array(
-        [sum(1 << v for v in e) for e in host.edges], dtype=np.int64
-    )
-    three_l = 3**level
-
     violations: list[dict] = []
-    examined = 0
-
-    def check_block(masks: np.ndarray) -> None:
-        nonlocal examined
-        examined += len(masks)
-        counts = np.zeros(len(masks), dtype=np.int64)
-        for em in edge_masks:
-            counts += (masks & em) == em
-        sizes = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-        eta = sizes / three_l
-        bound = 0.25 * eta**RHO * sizes.astype(float) ** 3 / 6.0 - 0.375 * three_l
-        bad = counts < bound - _FLOAT_TOLERANCE
-        for idx in np.nonzero(bad)[0]:
-            mask = int(masks[idx])
-            violations.append(
-                {
-                    "subset": [v for v in range(n) if mask >> v & 1],
-                    "size": int(sizes[idx]),
-                    "edges": int(counts[idx]),
-                    "bound": float(bound[idx]),
-                }
-            )
-
     if mode == "exact":
-        total = 1 << n
-        start = 0
-        while start < total:
-            stop = min(start + batch, total)
-            check_block(np.arange(start, stop, dtype=np.int64))
-            start = stop
-        return SubsetAuditReport(level, "exact", examined, violations)
+        if level > KARY_EXACT_LIMIT:
+            raise ValueError(f"exact mode is limited to level <= {KARY_EXACT_LIMIT}")
+        minima, choices = _size_minima(level)
+        for size, edges in enumerate(minima):
+            bound = density_floor(size, level)
+            if edges < bound - _FLOAT_TOLERANCE:
+                subset = _extremal_subset(choices, level, size)
+                violations.append({"subset": subset, "size": size, "edges": edges, "bound": bound})
+        return SubsetAuditReport(level, "exact", 2 ** (3**level), violations)
 
+    if level > 3:
+        raise ValueError("sampled mode draws int64 masks, so it is limited to level <= 3; use exact mode")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    import numpy as np
+
+    n = 3**level
+    floors = np.array([density_floor(size, level) for size in range(n + 1)])
     rng = np.random.default_rng(subseed(seed, f"subset-audit/{level}"))
-    remaining = samples
-    while remaining > 0:
-        take = min(batch, remaining)
-        masks = rng.integers(0, 1 << n, size=take, dtype=np.int64)
-        check_block(masks)
-        remaining -= take
-    return SubsetAuditReport(level, "sampled", examined, violations, seed=seed)
+    for start in range(0, samples, _SAMPLE_SLICE):
+        masks = rng.integers(0, 1 << n, size=min(_SAMPLE_SLICE, samples - start), dtype=np.int64)
+        counts, sizes = _split_counts(masks, level)
+        for idx in np.nonzero(counts < floors[sizes] - _FLOAT_TOLERANCE)[0]:
+            mask, size = int(masks[idx]), int(sizes[idx])
+            violations.append({"subset": [v for v in range(n) if mask >> v & 1], "size": size,
+                               "edges": int(counts[idx]), "bound": float(floors[size])})
+    return SubsetAuditReport(level, "sampled", samples, violations, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -219,22 +245,21 @@ class SupersaturationReport:
         }
 
 
-def supersaturation_experiment(
-    pattern: Hypergraph, n_max: int = 3, max_vertices: int = 256
-) -> SupersaturationReport:
+def supersaturation_experiment(pattern: Hypergraph, n_max: int = 3) -> SupersaturationReport:
     """Exact homomorphism counts of the pattern into the depth-1..n_max
-    hosts, with ratios hom / v(host)**v(pattern).
+    hosts, by the hosts' recursion, with ratios hom / v(host)**v(pattern).
 
     The pattern must embed into some digit-string host, otherwise the
     positive-fraction behaviour has no reason to hold and the experiment
     refuses to run."""
+    if not 1 <= n_max <= SUPERSAT_DEPTH_LIMIT:
+        raise ValueError(f"n_max must lie in 1..{SUPERSAT_DEPTH_LIMIT}")
     if find_kary_embedding(pattern) is None:
         raise ValueError("pattern does not embed into any digit-string host")
     entries = []
     for depth in range(1, n_max + 1):
-        host = build_kary(pattern.k, depth, max_vertices=max_vertices)
-        hom = count_homomorphisms(pattern, host)
-        ratio = hom / host.n**pattern.n if pattern.n else 1.0
+        hom = kary_hom_count(pattern, depth)
+        ratio = hom / (pattern.k**depth) ** pattern.n
         if not 0.0 <= ratio <= 1.0:
             raise RuntimeError(f"hom ratio {ratio} at depth {depth} lies outside [0, 1]")
         entries.append((depth, hom, ratio))

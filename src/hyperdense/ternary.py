@@ -13,7 +13,9 @@ coordinate length at most v(F).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
+from math import perm
 from typing import Iterator, Optional, Sequence
 
 from .hypergraphs import Hypergraph, enumerate_hypergraphs
@@ -61,7 +63,7 @@ def vector_of(index: int, k: int, length: int) -> KaryVector:
     return tuple(reversed(digits))
 
 
-def build_kary(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> Hypergraph:
+def build_kary(k: int, n: int) -> Hypergraph:
     """Explicit depth-n host on k**n vertices (vertex = digit-string index).
 
     Built recursively: k shifted copies of depth n-1 plus all transversal
@@ -72,11 +74,11 @@ def build_kary(k: int, n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> Hype
     if n < 0:
         raise ValueError("depth must be >= 0")
     size = k ** n
-    if size > max_vertices:
-        raise ValueError(f"{k}**{n} = {size} exceeds the explicit-size limit {max_vertices}")
+    if size > DEFAULT_VERTEX_LIMIT:
+        raise ValueError(f"{k}**{n} = {size} exceeds the explicit-size limit {DEFAULT_VERTEX_LIMIT}")
     if n == 0:
         return Hypergraph(k, 1, ())
-    prev = build_kary(k, n - 1, max_vertices)
+    prev = build_kary(k, n - 1)
     block = k ** (n - 1)
     edges: list[tuple[int, ...]] = []
     for c in range(k):
@@ -113,6 +115,22 @@ def _label_assignments(count: int, k: int) -> Iterator[tuple[int, ...]]:
         yield from rec([0], 1)
 
 
+def _splits(pattern: Hypergraph, vs: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+    """The k parts (some possibly empty) of each canonical labelling of vs
+    under which every edge of F[vs] lies inside one part or meets all k
+    parts: the first digits of a map of F[vs] into a digit-string host."""
+    k = pattern.k
+    vset = set(vs)
+    edges = [e for e in pattern.edges if vset.issuperset(e)]
+    for labels in _label_assignments(len(vs), k):
+        label_of = dict(zip(vs, labels))
+        if all(len({label_of[v] for v in e}) in (1, k) for e in edges):
+            parts: list[list[int]] = [[] for _ in range(k)]
+            for v, lab in zip(vs, labels):
+                parts[lab].append(v)
+            yield [tuple(part) for part in parts]
+
+
 def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:
     """Complete recursive partition search for an embedding witness.
 
@@ -131,41 +149,22 @@ def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:
         key = frozenset(vs)
         if key in memo:
             return memo[key]
-        vset = set(vs)
-        edges = [e for e in pattern.edges if vset.issuperset(e)]
         found: Optional[dict[int, KaryVector]] = None
-        for labels in _label_assignments(len(vs), k):
-            label_of = dict(zip(vs, labels))
-            ok = True
-            for e in edges:
-                labs = sorted(label_of[v] for v in e)
-                if labs[0] == labs[-1]:
-                    continue  # internal to one part
-                if labs == list(range(k)):
-                    continue  # transversal
-                ok = False
-                break
-            if not ok:
-                continue
-            parts: list[list[int]] = [[] for _ in range(k)]
-            for v, lab in zip(vs, labels):
-                parts[lab].append(v)
+        for parts in _splits(pattern, vs):
             subs: list[dict[int, KaryVector]] = []
             for part in parts:
-                sub = solve(tuple(part))
+                sub = solve(part)
                 if sub is None:
-                    ok = False
                     break
                 subs.append(sub)
-            if not ok:
-                continue
-            depth = max((len(next(iter(s.values()))) if s else 0) for s in subs)
-            mapping: dict[int, KaryVector] = {}
-            for lab, sub in enumerate(subs):
-                for v, tail in sub.items():
-                    mapping[v] = (lab,) + tail + (0,) * (depth - len(tail))
-            found = mapping
-            break
+            else:
+                depth = max((len(next(iter(s.values()))) if s else 0) for s in subs)
+                found = {
+                    v: (lab,) + tail + (0,) * (depth - len(tail))
+                    for lab, sub in enumerate(subs)
+                    for v, tail in sub.items()
+                }
+                break
         memo[key] = found
         return found
 
@@ -176,6 +175,42 @@ def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:
     if length > pattern.n:
         raise RuntimeError(f"witness length {length} exceeds v(F) = {pattern.n}")
     return EmbeddingWitness(k=k, length=length, mapping=top)
+
+
+def kary_hom_count(pattern: Hypergraph, depth: int) -> int:
+    """Exact hom(F, T_depth) on base k = k(F), by the host's recursion.
+
+    The first digits of a map label V(F) so that every edge lies inside one
+    label class or meets all k classes, and each class maps one level down:
+    the k constant labellings give k * hom(F, T_{depth-1}), and a split into
+    u nonempty parts is labelled in (k)_u ways.  A vertex in no edge maps
+    anywhere (factor k**depth); at depth 0 an edge has no image.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    k = pattern.k
+    splits = cache(lambda vs: list(_splits(pattern, vs)))
+
+    @cache
+    def hom(vs: tuple[int, ...], d: int) -> int:
+        vset = set(vs)
+        covered = {v for e in pattern.edges if vset.issuperset(e) for v in e}
+        if len(covered) < len(vs):
+            core = tuple(v for v in vs if v in covered)
+            return (k**d) ** (len(vs) - len(core)) * hom(core, d)
+        if not vs:
+            return 1
+        if d == 0:
+            return 0
+        total = k * hom(vs, d - 1)
+        for parts in splits(vs):
+            term = perm(k, sum(1 for part in parts if part))
+            for part in parts:
+                term *= hom(part, d - 1)
+            total += term
+        return total
+
+    return hom(tuple(range(pattern.n)), depth)
 
 
 def verify_kary_embedding(pattern: Hypergraph, witness: EmbeddingWitness) -> bool:

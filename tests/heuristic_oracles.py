@@ -101,7 +101,7 @@ def profile_heuristic(
         best_ratio = inf
         best_mask = 0
         for r in range(restarts):
-            rng = derive_rng(seed, f"profile/{eta}/{r}")
+            rng = derive_rng(seed, f"profile/{float(eta)}/{r}")
             chosen = rng.sample(range(n), rng.randint(floor, n))
             mask = 0
             for v in chosen:

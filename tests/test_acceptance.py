@@ -86,7 +86,7 @@ def test_criterion_03_subset_density_audit():
 def test_criterion_04_slice_family_tightness():
     t0 = time.time()
     for n in range(4):
-        host = build_kary(3, n, max_vertices=27)
+        host = build_kary(3, n)
         for r in range(n + 1):
             members = [
                 v for v in range(3**n) if all(d < 2 for d in vector_of(v, 3, n)[:r])

@@ -232,6 +232,18 @@ def test_audit_tn(capsys):
     assert json.loads(out)["result"]["violations"] == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--level", "4", "--mode", "sampled", "--samples", "10"], "use exact mode"),
+    (["--level", "3", "--mode", "sampled", "--samples", "0"], "samples must be >= 1"),
+    (["--level", "3", "--mode", "sampled", "--samples", "-5"], "samples must be >= 1"),
+    (["--level", "6", "--mode", "exact"], "limited to level <= 5"),
+], ids=["sampled-level-4", "zero-samples", "negative-samples", "exact-level-6"])
+def test_audit_tn_rejects_out_of_range(capsys, argv, message):
+    code, out, err = run(capsys, "audit-tn", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_optimality(capsys):
     code, out, _ = run(capsys, "optimality", "--r", "1", "--n", "3")
     result = json.loads(out)["result"]
@@ -245,6 +257,14 @@ def test_supersat(tmp_path, capsys):
     assert code == 0
     entries = json.loads(out)["result"]["entries"]
     assert entries[0]["hom"] == 6 and entries[1]["hom"] == 180
+
+
+@pytest.mark.parametrize("nmax", ["0", "65"])
+def test_supersat_rejects_depth_outside_range(tmp_path, capsys, nmax):
+    path = write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")
+    code, out, err = run(capsys, "supersat", "--file", path, "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert err == "error: n_max must lie in 1..64\n"
 
 
 def test_supersat_rejects_non_embeddable(tmp_path, capsys):

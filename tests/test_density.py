@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import combinations
 from math import comb, isclose
 from pathlib import Path
@@ -226,6 +227,14 @@ def test_profile_heuristic_upper_bounds_exact():
     exact = density_profile(h, [0.5], mode="exact").entries[0]
     heur = density_profile(h, [0.5], mode="heuristic", restarts=8, budget=50, seed=1).entries[0]
     assert heur.density >= exact.density - 1e-12
+
+
+def test_profile_heuristic_equal_etas_give_equal_reports():
+    rng = derive_rng(1, "profile-label")
+    h = random_host(rng, 30, 0.05)
+    runs = [density_profile(h, grid, mode="heuristic", restarts=3, budget=5, seed=1).to_dict()
+            for grid in ([0.5], [Fraction(1, 2)])]
+    assert runs[0] == runs[1]
 
 
 def test_profile_size_floor_uses_ceiling():

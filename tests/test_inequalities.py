@@ -14,6 +14,7 @@ from hyperdense import (
     scan_inequality,
     supersaturation_experiment,
 )
+from hyperdense import inequalities
 from hyperdense.inequalities import density_floor
 from hyperdense.ternary import vector_of
 
@@ -95,9 +96,30 @@ def test_audit_sampled_is_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_audit_exact_above_level_two_needs_flag():
-    with pytest.raises(ValueError):
-        audit_kary_subsets(3, mode="exact")
+def test_audit_exact_runs_to_level_five_and_stops_at_six():
+    for level in (3, 4, 5):
+        report = audit_kary_subsets(level, mode="exact")
+        assert report.examined == 2 ** (3**level)
+        assert report.violations == []
+    with pytest.raises(ValueError, match="level <= 5"):
+        audit_kary_subsets(6, mode="exact")
+
+
+def test_audit_exact_lists_an_extremal_subset_per_violating_size(monkeypatch):
+    # raise the floor by 4 edges: at level 2 only sizes 7 and 8 keep slack above 4
+    real_floor = inequalities.density_floor
+    monkeypatch.setattr(inequalities, "density_floor", lambda size, level: real_floor(size, level) + 4)
+    host = build_kary(3, 2)
+    report = audit_kary_subsets(2, mode="exact")
+    assert [v["size"] for v in report.violations] == [0, 1, 2, 3, 4, 5, 6, 9]
+    for v in report.violations:
+        assert v["size"] == len(v["subset"])
+        assert v["edges"] == induced_edge_count(host, v["subset"])
+        assert v["edges"] < v["bound"]
+    sampled = audit_kary_subsets(2, mode="sampled", samples=2000, seed=1)
+    assert sampled.violations
+    for v in sampled.violations:
+        assert v["edges"] == induced_edge_count(host, v["subset"]) < v["bound"]
 
 
 # --- the binary-prefix slices -------------------------------------------------------
@@ -105,7 +127,7 @@ def test_audit_exact_above_level_two_needs_flag():
 
 def test_slice_formula_matches_brute_force_up_to_depth_three():
     for n in range(4):
-        host = build_kary(3, n, max_vertices=27)
+        host = build_kary(3, n)
         for r in range(n + 1):
             stats = binary_prefix_slice(r, n)
             members = [
@@ -147,7 +169,8 @@ def test_slice_rejects_bad_arguments():
 
 
 def test_supersat_single_edge_matches_closed_form(single_edge):
-    report = supersaturation_experiment(single_edge, n_max=3)
+    # T_6 has 729 vertices, beyond what build_kary constructs
+    report = supersaturation_experiment(single_edge, n_max=6)
     for depth, hom, ratio in report.entries:
         edges = (27**depth - 3**depth) // 24
         assert hom == 6 * edges

@@ -66,6 +66,8 @@ def test_import_loads_no_submodule_and_no_numpy():
     [
         (["decide-pi1", "{file}"], ["cli", "hypergraphs", "rainbow", "seeding"]),
         (["optimality", "--r", "1", "--n", "2"], ["cli", "hypergraphs", "inequalities", "seeding", "ternary"]),
+        # the exact subset audit runs the host's split recursion in pure Python
+        (["audit-tn", "--level", "2"], ["cli", "hypergraphs", "inequalities", "seeding", "ternary"]),
     ],
 )
 def test_cli_command_loads_only_its_modules(tmp_path, argv, loaded):
