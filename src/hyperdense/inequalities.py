@@ -18,7 +18,7 @@ triples are its remaining edges, so the least e(X) at each size follows
 from the same minima one level down: the exact audit checks every subset
 up to level KARY_EXACT_LIMIT without building the host.  The sampled audit
 counts drawn subsets by the same split, and the supersaturation counts
-hom(F, T_n) come from the host's recursion in `ternary.kary_hom_count`.
+hom(F, T_n) come from the host's recursion in `ternary.kary_hom_counts`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 from .hypergraphs import Hypergraph
 from .seeding import subseed
-from .ternary import find_kary_embedding, kary_hom_count
+from .ternary import find_kary_embedding, kary_hom_counts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -257,8 +257,7 @@ def supersaturation_experiment(pattern: Hypergraph, n_max: int = 3) -> Supersatu
     if find_kary_embedding(pattern) is None:
         raise ValueError("pattern does not embed into any digit-string host")
     entries = []
-    for depth in range(1, n_max + 1):
-        hom = kary_hom_count(pattern, depth)
+    for depth, hom in enumerate(kary_hom_counts(pattern, n_max)[1:], start=1):
         ratio = hom / (pattern.k**depth) ** pattern.n
         if not 0.0 <= ratio <= 1.0:
             raise RuntimeError(f"hom ratio {ratio} at depth {depth} lies outside [0, 1]")

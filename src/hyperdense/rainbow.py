@@ -68,8 +68,8 @@ class PairColouring:
         if len(self.colours) != want:
             raise ValueError(f"colouring is not total: {len(self.colours)} of {want} subsets")
         for face, c in self.colours.items():
-            if tuple(sorted(face)) != face or len(face) != self.k - 1:
-                raise ValueError(f"bad subset key {face}")
+            if len(face) != self.k - 1 or any(a >= b for a, b in zip(face, face[1:])):
+                raise ValueError(f"bad subset key {face}: need {self.k - 1} increasing vertices")
             if any(v < 0 or v >= self.n for v in face):
                 raise ValueError(f"subset {face} out of range")
             if c < 1 or c > self.k:
@@ -104,67 +104,92 @@ def forced_colouring(pattern: Hypergraph, order: Sequence[int]) -> Union[ShadowC
 
 
 def find_rainbow_ordering(pattern: Hypergraph) -> Optional[ShadowColouring]:
-    """Search all vertex orderings for a conflict-free forced colouring.
+    """Search the vertex orderings for a conflict-free forced colouring.
 
-    Incremental backtracking over ordering prefixes: an edge's colour
-    demands are known as soon as its last vertex is placed, so conflicts
-    prune whole prefix subtrees.  Vertices are tried in ascending index,
-    which makes the returned ordering the lexicographically least witness.
+    Backtracking over ordering prefixes that fixes each face colour as soon
+    as the prefix decides it:
+
+    - placing v gives the face e - v of each edge e containing v the colour
+      "number of e's vertices placed so far", because face ell belongs to
+      the edge's ell-th vertex by position;
+    - once k-1 vertices of e are placed, the unplaced one must come last,
+      so the face that drops it gets colour k at that point.
+
+    A face f is live while some edge f + x still has x unplaced; no other
+    face can receive a colour again.  A failed prefix is remembered under
+    its placed set and the colours of its live faces, and a later prefix
+    reaching the same state is skipped, since it has the same completions.
+    Vertices are tried in ascending index, which makes the returned
+    ordering the lexicographically least witness.  The search is still
+    exponential in the worst case.
     """
     if pattern.k < 3:
         raise ValueError("requires uniformity k >= 3")
-    n = pattern.n
-    if n == 0:
-        return ShadowColouring((), {})
-    edges = pattern.edges
-    edge_ids_of = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            edge_ids_of[v].append(i)
-    remaining = [pattern.k] * len(edges)
-    pos: list[Optional[int]] = [None] * n
-    seq: list[int] = []
-    colours: dict[Face, int] = {}
+    n, k = pattern.n, pattern.k
+    # The colours of the live faces are packed into one int, `width` bits per
+    # face; 0 means uncoloured.  A face's bits are cleared when it dies, so
+    # (placed set, packed colours) is the memo key.
+    width = k.bit_length()
+    field = (1 << width) - 1
+    shift_of: dict[Face, int] = {}
+    waits_for: dict[int, int] = {}  # face shift -> the x with face + x an edge
+    edge_drops: list[dict[int, int]] = []  # vertex bit -> shift of the face dropping it
+    for e in pattern.edges:
+        drops = {1 << x: shift_of.setdefault(_face_dropping(e, x), width * len(shift_of)) for x in e}
+        for bit, s in drops.items():
+            waits_for[s] = waits_for.get(s, 0) | bit
+        edge_drops.append(drops)
+    # For each vertex v and edge e containing v: e's vertex mask, the shift
+    # of the face dropping v, e's drops, and the vertices that face waits
+    # for (it dies once all of them are placed).
+    incident: list[list[tuple[int, int, dict[int, int], int]]] = [[] for _ in range(n)]
+    for drops in edge_drops:
+        for bit, s in drops.items():
+            incident[bit.bit_length() - 1].append((sum(drops), s, drops, waits_for[s]))
+    full = (1 << n) - 1
+    failed: set[tuple[int, int]] = set()
+    order: list[int] = []
 
-    def dfs() -> bool:
-        if len(seq) == n:
+    def search(placed: int, code: int) -> bool:
+        if placed == full:
             return True
         for v in range(n):
-            if pos[v] is not None:
+            if placed >> v & 1:
                 continue
-            pos[v] = len(seq)
-            seq.append(v)
-            for ei in edge_ids_of[v]:
-                remaining[ei] -= 1
-            new_faces: list[Face] = []
-            ok = True
-            for ei in edge_ids_of[v]:
-                if remaining[ei] != 0 or not ok:
-                    continue
-                e = edges[ei]
-                vs = sorted(e, key=lambda x: pos[x])
-                for ell, u in enumerate(vs, start=1):
-                    face = _face_dropping(e, u)
-                    got = colours.get(face)
-                    if got is None:
-                        colours[face] = ell
-                        new_faces.append(face)
-                    elif got != ell:
-                        ok = False
+            now = placed | 1 << v
+            new = code
+            for emask, s, drops, waits in incident[v]:
+                c = (emask & now).bit_count()
+                if c < k:  # at c == k the face got colour k one step earlier
+                    got = new >> s & field
+                    if got and got != c:
                         break
-            if ok and dfs():
-                return True
-            for face in new_faces:
-                del colours[face]
-            for ei in edge_ids_of[v]:
-                remaining[ei] += 1
-            seq.pop()
-            pos[v] = None
+                    new |= c << s
+                if c == k - 1:
+                    t = drops[emask & ~now]
+                    got = new >> t & field
+                    if got and got != k:
+                        break
+                    new |= k << t
+                if not waits & ~now:
+                    new &= ~(field << s)
+            else:
+                key = (now, new)
+                if key in failed:
+                    continue
+                order.append(v)
+                if search(now, new):
+                    return True
+                order.pop()
+                failed.add(key)
         return False
 
-    if not dfs():
+    if not search(0, 0):
         return None
-    return ShadowColouring(tuple(seq), dict(colours))
+    witness = forced_colouring(pattern, order)
+    if not isinstance(witness, ShadowColouring):
+        raise RuntimeError(f"ordering {order} found by the search has a conflict")
+    return witness
 
 
 def verify_rainbow_colouring(pattern: Hypergraph, witness: ShadowColouring) -> bool:
@@ -219,7 +244,8 @@ def witness_to_dict(witness: ShadowColouring, k: int) -> dict:
 
 def parse_pair_colouring(text: str) -> PairColouring:
     """Parse the pair-colouring format: header ``k n``, then one line per
-    (k-1)-subset followed by its colour index."""
+    (k-1)-subset followed by its colour index.  The subset's vertices may
+    appear in any order; a malformed line is named in the error."""
     k = n = None
     colours: dict[Face, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -230,17 +256,30 @@ def parse_pair_colouring(text: str) -> PairColouring:
         if k is None:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: header must be 'k n'")
-            k, n = int(parts[0]), int(parts[1])
+            try:
+                k, n = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValueError(f"line {lineno}: header fields must be integers")
             if k < 2 or n < 0:
                 raise ValueError(f"line {lineno}: header out of range")
             continue
         if len(parts) != k:
             raise ValueError(f"line {lineno}: expected {k - 1} vertices and a colour")
-        vs = [int(p) for p in parts[:-1]]
+        try:
+            *vs, colour = (int(p) for p in parts)
+        except ValueError:
+            raise ValueError(f"line {lineno}: vertices and colour must be integers")
+        for v in vs:
+            if v < 0 or v >= n:
+                raise ValueError(f"line {lineno}: vertex index {v} out of range [0, {n})")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"line {lineno}: repeated vertex within a subset")
+        if not 1 <= colour <= k:
+            raise ValueError(f"line {lineno}: colour {colour} outside 1..{k}")
         face = tuple(sorted(vs))
         if face in colours:
             raise ValueError(f"line {lineno}: duplicate subset")
-        colours[face] = int(parts[-1])
+        colours[face] = colour
     if k is None:
         raise ValueError("missing header line")
     return PairColouring(k, n, colours)

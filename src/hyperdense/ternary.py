@@ -178,13 +178,19 @@ def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:
 
 
 def kary_hom_count(pattern: Hypergraph, depth: int) -> int:
-    """Exact hom(F, T_depth) on base k = k(F), by the host's recursion.
+    """Exact hom(F, T_depth) on base k = k(F); see `kary_hom_counts`."""
+    return kary_hom_counts(pattern, depth)[depth]
+
+
+def kary_hom_counts(pattern: Hypergraph, depth: int) -> list[int]:
+    """Exact hom(F, T_d) on base k = k(F) for d = 0..depth, by the host's
+    recursion, from one memo on (vertex subset, d).
 
     The first digits of a map label V(F) so that every edge lies inside one
     label class or meets all k classes, and each class maps one level down:
-    the k constant labellings give k * hom(F, T_{depth-1}), and a split into
+    the k constant labellings give k * hom(F, T_{d-1}), and a split into
     u nonempty parts is labelled in (k)_u ways.  A vertex in no edge maps
-    anywhere (factor k**depth); at depth 0 an edge has no image.
+    anywhere (factor k**d); at depth 0 an edge has no image.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -210,7 +216,9 @@ def kary_hom_count(pattern: Hypergraph, depth: int) -> int:
             total += term
         return total
 
-    return hom(tuple(range(pattern.n)), depth)
+    # Ascending depths keep each call's recursion one level deep in d.
+    top = tuple(range(pattern.n))
+    return [hom(top, d) for d in range(depth + 1)]
 
 
 def verify_kary_embedding(pattern: Hypergraph, witness: EmbeddingWitness) -> bool:

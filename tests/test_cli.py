@@ -93,6 +93,14 @@ def test_generate_hphi_explicit_colouring(tmp_path, capsys):
     assert host.edges == ((0, 1, 2),)
 
 
+def test_generate_hphi_rejects_a_face_with_a_repeated_vertex(tmp_path, capsys):
+    colouring = write(tmp_path, "phi.txt", "3 3\n0 1 1\n0 2 2\n1 1 3\n")
+    code, out, err = run(capsys, "generate", "hphi", "3", "--colouring", colouring)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: line 4: repeated vertex within a subset"]
+
+
 def test_generate_hphi_k4_flags_the_generalization(tmp_path, capsys):
     colouring = write(tmp_path, "phi4.txt", "4 4\n1 2 3 1\n0 2 3 2\n0 1 3 3\n0 1 2 4\n")
     code, out, _ = run(capsys, "generate", "hphi", "4", "--k", "4", "--colouring", colouring)

@@ -303,6 +303,30 @@ def test_pair_colouring_file_roundtrip():
     assert parse_pair_colouring(serialize_pair_colouring(phi)) == phi
 
 
+def test_pair_colouring_rejects_repeated_vertex_in_a_face():
+    # three faces, as many as the pairs of [3], but (1, 1) is no pair
+    with pytest.raises(ValueError, match="increasing"):
+        PairColouring(3, 3, {(0, 1): 1, (0, 2): 2, (1, 1): 3})
+    with pytest.raises(ValueError, match="increasing"):
+        PairColouring(3, 3, {(0, 1): 1, (0, 2): 2, (2, 1): 3})
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 3\n0 1 1\n0 2 2\n1 1 3\n", 4),  # repeated vertex
+        ("3 3\n0 1 1\n0 x 2\n1 2 3\n", 3),  # non-integer vertex
+        ("3 3\n0 1 1\n0 2 blue\n1 2 3\n", 3),  # non-integer colour
+        ("3 3\n0 1 1\n0 3 2\n1 2 3\n", 3),  # vertex out of range
+        ("3 3\n0 1 1\n0 2 4\n1 2 3\n", 3),  # colour out of range
+        ("# pairs of [3]\n3 three\n", 2),  # non-integer header
+    ],
+)
+def test_parse_pair_colouring_names_the_bad_line(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        parse_pair_colouring(text)
+
+
 def test_witness_dict_uses_colour_names(c5_minus):
     w = find_rainbow_ordering(c5_minus)
     data = witness_to_dict(w, 3)
