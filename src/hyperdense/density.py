@@ -63,8 +63,8 @@ class DensityQuery:
     def __post_init__(self):
         if not 0.0 <= self.d <= 1.0:
             raise ValueError(f"d must lie in [0, 1], got {self.d}")
-        if self.eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         _check_search(self.budget, self.restarts)
         if self.mode not in ("exact", "heuristic"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -338,12 +338,6 @@ def _codegrees(h: Hypergraph, first: set[int], second: set[int]) -> list[int]:
     return c
 
 
-def _triple_objective(h: Hypergraph, X: set, Y: set, Z: set, d: float, eta: float) -> float:
-    c = _codegrees(h, X, Y)
-    count = sum(c[z] for z in Z)
-    return count - d * len(X) * len(Y) * len(Z) + eta * h.n ** 3
-
-
 def triple_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
     if h.k != 3:
         raise ValueError("three-set audit requires uniformity 3")
@@ -395,6 +389,12 @@ def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
     best = inf
     best_cert: Optional[tuple] = None
     traces: list[list[float]] = []
+
+    # The ordered-triple count is symmetric in the three roles: it is the
+    # sum, over any one set, of the codegrees into the other two.
+    def objective(count: int) -> float:
+        return count - query.d * len(sets[0]) * len(sets[1]) * len(sets[2]) + query.eta * n ** 3
+
     for r in range(query.restarts):
         rng = derive_rng(query.seed, f"triple/{r}")
         sets = [
@@ -402,7 +402,8 @@ def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
             {v for v in range(n) if rng.random() < 0.5},
             {v for v in range(n) if rng.random() < 0.5},
         ]
-        obj = _triple_objective(h, sets[0], sets[1], sets[2], query.d, query.eta)
+        c = _codegrees(h, sets[0], sets[1])
+        obj = objective(sum(c[z] for z in sets[2]))
         trace = [obj]
         for _ in range(query.budget):
             changed = False
@@ -414,7 +415,7 @@ def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
                 if replacement != sets[role]:
                     sets[role] = replacement
                     changed = True
-                new_obj = _triple_objective(h, sets[0], sets[1], sets[2], query.d, query.eta)
+                new_obj = objective(sum(c[v] for v in replacement))
                 if new_obj > obj + 1e-9:
                     raise RuntimeError(f"descent step increased the objective from {obj} to {new_obj}")
                 obj = new_obj

@@ -254,7 +254,10 @@ def _count_maps(
     pattern: Hypergraph, host: Hypergraph, injective: bool, witness: Optional[dict[int, int]] = None
 ) -> int:
     """Count edge-preserving maps; with ``witness``, stop at the first leaf
-    of the injective search and store its map there."""
+    of the injective search and store its map there.  Injectivity reads
+    every earlier image through ``used``, so in that walk B_i is the whole
+    prefix for i < n: nothing is memoised, and only the last position is
+    eliminated, its least candidate standing in for the witness."""
     if pattern.k != host.k:
         raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
     if injective and pattern.n > host.n:
@@ -277,42 +280,26 @@ def _count_maps(
                 return ()
             pools.append(opts)
         if not pools:
-            return [w for w in range(host.n) if w not in used] if injective else range(host.n)
+            return [w for w in range(host.n) if w not in used] if used else range(host.n)
         if len(pools) == 1:
             return [w for w in pools[0] if w not in used] if used else pools[0]
         cand = set(pools[0]).intersection(*pools[1:])
         cand.difference_update(used)
         return sorted(cand)
 
-    if injective:
-        def rec(i: int) -> int:
-            if i == len(order):
-                if witness is not None:
-                    witness.update(sorted(zip(order, images)))
-                return 1
-            total = 0
-            for w in candidates(i):
-                images.append(w)
-                used.add(w)
-                total += rec(i + 1)
-                used.discard(w)
-                images.pop()
-                if total and witness is not None:
-                    break
-            return total
-
-        return rec(0)
-
     # boundary[i] = B_i; boundary[first_free] is empty.
-    boundary: list[tuple[int, ...]] = []
-    for i in range(first_free + 1):
-        read = {p for j in range(i, first_free) for others in closing[j] for p in others if p < i}
-        boundary.append(tuple(sorted(read)))
+    boundary = [
+        tuple(range(i)) if injective
+        else tuple(sorted({p for j in range(i, first_free) for others in closing[j] for p in others if p < i}))
+        for i in range(first_free)
+    ] + [()]
     memo = [{} if len(boundary[i]) < i else None for i in range(first_free)]
     free_factor = host.n ** (len(order) - first_free)
 
     def count(i: int) -> int:
         if i == first_free:
+            if witness is not None:
+                witness.update(sorted(zip(order, images)))
             return free_factor
         seen = memo[i]
         if seen is not None:
@@ -331,8 +318,13 @@ def _count_maps(
             total = 0
             for w in cands:
                 images.append(w)
+                if injective:
+                    used.add(w)
                 total += count(i + 1)
+                used.discard(w)
                 images.pop()
+                if total and witness is not None:
+                    break
         if seen is not None:
             seen[key] = total
         return total

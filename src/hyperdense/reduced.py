@@ -540,9 +540,9 @@ def _json_list(value, what: str) -> list:
 
 
 def _json_int(value, what: str) -> int:
-    if isinstance(value, (dict, list)) or value is None:
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
-    return int(value)
+    return value
 
 
 def _key_ints(key: str, count: int, what: str) -> tuple[int, ...]:

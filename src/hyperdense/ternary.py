@@ -177,11 +177,6 @@ def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:
     return EmbeddingWitness(k=k, length=length, mapping=top)
 
 
-def kary_hom_count(pattern: Hypergraph, depth: int) -> int:
-    """Exact hom(F, T_depth) on base k = k(F); see `kary_hom_counts`."""
-    return kary_hom_counts(pattern, depth)[depth]
-
-
 def kary_hom_counts(pattern: Hypergraph, depth: int) -> list[int]:
     """Exact hom(F, T_d) on base k = k(F) for d = 0..depth, by the host's
     recursion, from one memo on (vertex subset, d).

@@ -169,6 +169,20 @@ def test_audit_profile_heuristic_rejects_empty_search(tmp_path, capsys, flag, me
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("notion, mode, eta", [
+    ("vertex", "exact", "nan"),
+    ("vertex", "heuristic", "inf"),
+    ("triple", "heuristic", "nan"),
+    ("triple", "exact", "inf"),
+])
+def test_audit_rejects_non_finite_eta(tmp_path, capsys, notion, mode, eta):
+    path = write(tmp_path, "k4.hyg", K4_TEXT)
+    code, out, err = run(capsys, "audit", notion, path, "--eta", eta, "--mode", mode, "--restarts", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: eta must be positive and finite, got {float(eta)}\n"
+
+
 def test_sweep_small(capsys):
     code, out, _ = run(capsys, "sweep", "3")
     assert code == 0
@@ -208,7 +222,18 @@ def test_reduced_select_rejects_sparse(tmp_path, capsys):
     assert "dense" in err
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", '{"m": 2, "class_size": [1, 2]}'])
+COMPLETE_5_2 = serialize_reduced_json(complete_reduced(5, 2))
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"m": 2, "class_size": [1, 2]}',
+    # int() would read each of these as a valid integer of the same instance
+    pytest.param(COMPLETE_5_2.replace('"m": 5', '"m": 5.9'), id="m-float"),
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": 2.7'), id="size-float"),
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": "2"'), id="size-string"),
+    pytest.param(COMPLETE_5_2.replace("[\n        0,", "[\n        false,", 1), id="vertex-bool"),
+])
 def test_reduced_select_malformed_json_is_input_error(tmp_path, capsys, text):
     path = write(tmp_path, "bad.json", text)
     code, out, err = run(capsys, "reduced", "select", path, "--mu", "0.5", "--f", "3")

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, isclose
 from pathlib import Path
 
@@ -314,8 +314,10 @@ def test_disagreeing_certificate_raises(monkeypatch, check):
 
 
 def test_increasing_descent_step_raises(monkeypatch):
-    objectives = iter(range(100))
-    monkeypatch.setattr(density, "_triple_objective", lambda *args: float(next(objectives)))
+    # Codegrees below every threshold put each vertex in each role; once the
+    # sets are full, a table that grows on each call raises the objective.
+    calls = count()
+    monkeypatch.setattr(density, "_codegrees", lambda h, first, second: [next(calls) - 10**6] * h.n)
     q = DensityQuery(d=0.5, eta=0.01, mode="heuristic", restarts=1, budget=2)
     with pytest.raises(RuntimeError, match="descent"):
         triple_density_check(Hypergraph(3, 6, ()), q)

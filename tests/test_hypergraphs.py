@@ -21,10 +21,11 @@ from hyperdense import (
     shadow,
 )
 from hyperdense.hypergraphs import _completion_index
+from hyperdense.rainbow import build_pattern_host, random_pair_colouring
 from hyperdense.seeding import derive_rng
 from hyperdense.ternary import build_kary
 
-from backtrack_oracles import naive_contains_copy
+from backtrack_oracles import first_copy, naive_contains_copy
 from conftest import C5_MINUS_TEXT
 
 
@@ -181,6 +182,30 @@ def test_contains_copy_agrees_with_naive_oracle():
             assert not naive_contains_copy(pattern, host)
         else:
             assert is_embedding(pattern, host, witness.mapping)
+
+
+def test_contains_copy_witness_in_pattern_host_matches_first_copy():
+    # An 8-vertex connected sub-pattern of a 20-vertex pattern host, grown
+    # from one edge by whole edges that meet it, then relabelled.  Its last
+    # position has several candidates, so the witness pins which one the
+    # kernel places there.
+    host = build_pattern_host(random_pair_colouring(20, 3, 0))
+    rng = derive_rng(0, "sub-pattern")
+    chosen = set(rng.choice(host.edges))
+    while len(chosen) < 8:
+        touching = [e for e in host.edges if 0 < len(chosen.intersection(e)) < 3 and len(chosen.union(e)) <= 8]
+        chosen.update(rng.choice(touching))
+    label = dict(zip(sorted(chosen), rng.sample(range(8), 8)))
+    pattern = Hypergraph.from_edges(3, 8, [[label[v] for v in e] for e in host.edges if chosen.issuperset(e)])
+    witness = contains_copy(pattern, host)
+    assert witness is not None
+    assert witness == first_copy(pattern, host)
+
+
+def test_count_embeddings_tight_path_into_t3():
+    # Counted at the last position rather than walked leaf by leaf.
+    path = Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
+    assert count_embeddings(path, build_kary(3, 3)) == 281880
 
 
 # --- homomorphism counting ---------------------------------------------------

@@ -16,7 +16,7 @@ from hyperdense import (
 )
 from hyperdense import inequalities
 from hyperdense.inequalities import density_floor
-from hyperdense.ternary import kary_hom_count, vector_of
+from hyperdense.ternary import kary_hom_counts, vector_of
 
 
 # --- the exponent constants ----------------------------------------------------
@@ -195,10 +195,10 @@ def test_supersat_tight_path_golden_counts(tight_path4):
 
 @pytest.mark.parametrize("n", [5, 9], ids=["P5", "loose-path-9"])
 def test_supersat_shared_memo_matches_per_depth_counts(n):
-    # supersat takes every depth from one memo; each kary_hom_count starts afresh
+    # supersat takes every depth from one memo; each count below starts afresh
     pattern = Hypergraph.from_edges(3, n, [(i, i + 1, i + 2) for i in range(0, n - 2, 2)])
     report = supersaturation_experiment(pattern, n_max=12)
-    assert [(d, hom) for d, hom, _ in report.entries] == [(d, kary_hom_count(pattern, d)) for d in range(1, 13)]
+    assert [(d, hom) for d, hom, _ in report.entries] == [(d, kary_hom_counts(pattern, d)[d]) for d in range(1, 13)]
 
 
 def test_supersat_rejects_non_embeddable(k4):

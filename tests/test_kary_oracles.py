@@ -1,10 +1,10 @@
 """The digit-string host's recursions against the built host.
 
 The subset audit's split counter and its size minima must equal counts
-taken edge by edge in ``build_kary(3, level)``, and ``kary_hom_count``
-must equal ``count_homomorphisms`` into the built host.  Patterns include
-the empty one, isolated vertices, and patterns that embed into no
-digit-string host.
+taken edge by edge in ``build_kary(3, level)``, and ``kary_hom_counts`` at
+each depth must equal ``count_homomorphisms`` into the built host.
+Patterns include the empty one, isolated vertices, and patterns that embed
+into no digit-string host.
 """
 
 from itertools import combinations
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kary_oracles import edge_mask_counts, size_minima
 from hyperdense import Hypergraph, count_homomorphisms, induced_edge_count
 from hyperdense.inequalities import _extremal_subset, _size_minima, _split_counts
-from hyperdense.ternary import build_kary, kary_hom_count
+from hyperdense.ternary import build_kary, kary_hom_counts
 
 ORACLE_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -63,4 +63,4 @@ def pattern_and_depth(draw):
 @given(pattern_and_depth())
 def test_kary_hom_count_matches_built_host(case):
     pattern, depth = case
-    assert kary_hom_count(pattern, depth) == count_homomorphisms(pattern, build_kary(pattern.k, depth))
+    assert kary_hom_counts(pattern, depth)[depth] == count_homomorphisms(pattern, build_kary(pattern.k, depth))
