@@ -15,10 +15,13 @@ mode runs, for vertex and profile, one steepest single-flip descent from
 seeded random starts: each move flips the vertex that lowers the objective
 (slack, or relative density) most, by more than 1e-12, and the lowest such
 vertex on ties; the profile descent starts at or above the size floor
-max(ceil(eta * n), k) and never removes a vertex below it.  The triple
-notion uses alternating closed-form coordinate descent.  A "violated"
-verdict always carries a certificate that re-verifies with negative
-slack; heuristic mode never claims "satisfied", only "unresolved".
+max(ceil(eta * n), k) and never removes a vertex below it.  The descent
+counts each vertex's inside degree once and keeps it up to date per flip,
+touching only the edges through the flipped vertex u, so a move costs
+O(n + (k-1) * deg(u)).  The triple notion uses alternating closed-form
+coordinate descent.  A "violated" verdict always carries a certificate
+that re-verifies with negative slack; heuristic mode never claims
+"satisfied", only "unresolved".
 """
 
 from __future__ import annotations
@@ -138,6 +141,14 @@ def _edge_masks_without(h: Hypergraph) -> list[list[int]]:
     return out
 
 
+def _flip_pairs(others: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """Per vertex u, a pair (w, rest) for every edge e through u and every w
+    in e - u, rest the mask of e - u - w: while rest lies inside a subset,
+    flipping u adds or removes the edge e from w's inside degree."""
+    return [[(w, om & ~(1 << w)) for om in masks for w in range(om.bit_length()) if om >> w & 1]
+            for masks in others]
+
+
 def _decode(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if mask >> v & 1)
 
@@ -242,34 +253,43 @@ def _vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     )
 
 
-def _descend(others: list[list[int]], mask: int, k: int, budget: int, floor: int, score):
+def _descend(others: list[list[int]], pairs: list[list[tuple[int, int]]], mask: int, k: int,
+             budget: int, floor: int, score):
     """Steepest single-vertex-flip descent from mask, over at most budget
     moves; yields (mask, size, inside) at the start and after every move.
 
     A move flips the lowest vertex whose score(inside, size, di, ns) -- di
     the change in inside edges, ns the new size -- beats the best so far by
     1e-12, the best starting at the score of staying put; no move leaves
-    fewer than floor vertices."""
+    fewer than floor vertices.  Each vertex's inside degree (its edges whose
+    other vertices all lie in mask) is counted from others once, then kept
+    up to date: flipping u moves the degree of w by one for each pair
+    (w, rest) of u whose rest lies in mask.  A move costs
+    O(n + (k-1) * deg(u)), not a scan of every edge."""
     size = mask.bit_count()
+    deg = [sum(1 for e in om if e & mask == e) for om in others]  # others[v] excludes v
     # each inside edge is seen once per contained vertex, hence the // k
-    inside = sum(1 for v, om in enumerate(others) if mask >> v & 1 for e in om if e & mask == e) // k
+    inside = sum(dv for v, dv in enumerate(deg) if mask >> v & 1) // k
     yield mask, size, inside
     for _ in range(budget):
         move, best, move_di = -1, score(inside, size, 0, size), 0
-        for v, om in enumerate(others):
+        for v, dv in enumerate(deg):
             member = mask >> v & 1
             if member and size <= floor:
                 continue
-            deg = sum(1 for e in om if e & mask == e)  # om excludes v, so this is v's inside degree
-            di, ns = (-deg, size - 1) if member else (deg, size + 1)
+            di, ns = (-dv, size - 1) if member else (dv, size + 1)
             cand = score(inside, size, di, ns)
             if cand < best - 1e-12:
                 move, best, move_di = v, cand, di
         if move < 0:
             return
         mask ^= 1 << move
-        size += 1 if mask >> move & 1 else -1
+        step = 1 if mask >> move & 1 else -1
+        size += step
         inside += move_di
+        for w, rest in pairs[move]:
+            if rest & mask == rest:
+                deg[w] += step
         yield mask, size, inside
 
 
@@ -278,13 +298,14 @@ def _vertex_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
     binom = [comb(s, h.k) for s in range(n + 1)]
     penalty = query.eta * n ** h.k
     others = _edge_masks_without(h)
+    pairs = _flip_pairs(others)
     best_slack = inf
     best_mask = 0
     steps_total = 0
     for r in range(query.restarts):
         rng = derive_rng(query.seed, f"vertex/{r}")
         start = rng.getrandbits(n) if n else 0
-        descent = _descend(others, start, h.k, query.budget, 0,
+        descent = _descend(others, pairs, start, h.k, query.budget, 0,
                            lambda inside, size, di, ns: di - query.d * (binom[ns] - binom[size]))
         for states, (mask, size, inside) in enumerate(descent, 1):
             slack = inside - query.d * binom[size] + penalty
@@ -330,11 +351,17 @@ def ordered_triple_count(h: Hypergraph, xs: Iterable[int], ys: Iterable[int], zs
 
 def _codegrees(h: Hypergraph, first: set[int], second: set[int]) -> list[int]:
     """Per vertex w: #{(a,b) in first*second : {a,b,w} an edge}."""
+    f, s = [0] * h.n, [0] * h.n  # 0/1 membership, read instead of set lookups
+    for v in first:
+        f[v] = 1
+    for v in second:
+        s[v] = 1
     c = [0] * h.n
     for x, y, z in h.edges:
-        c[z] += (x in first) * (y in second) + (y in first) * (x in second)
-        c[y] += (x in first) * (z in second) + (z in first) * (x in second)
-        c[x] += (y in first) * (z in second) + (z in first) * (y in second)
+        fx, fy, fz, sx, sy, sz = f[x], f[y], f[z], s[x], s[y], s[z]
+        c[z] += fx * sy + fy * sx
+        c[y] += fx * sz + fz * sx
+        c[x] += fy * sz + fz * sy
     return c
 
 
@@ -496,6 +523,7 @@ def _profile_heuristic(
     n, k = h.n, h.k
     binom = [comb(s, k) for s in range(n + 1)]
     others = _edge_masks_without(h)
+    pairs = _flip_pairs(others)
     entries = []
     for eta in eta_grid:
         floor = size_floor(eta, n, k)
@@ -507,7 +535,7 @@ def _profile_heuristic(
         for r in range(restarts):
             rng = derive_rng(seed, f"profile/{float(eta)}/{r}")
             start = sum(1 << v for v in rng.sample(range(n), rng.randint(floor, n)))
-            descent = _descend(others, start, k, budget, floor,
+            descent = _descend(others, pairs, start, k, budget, floor,
                                lambda inside, size, di, ns: (inside + di) / binom[ns])
             for mask, size, inside in descent:
                 ratio = inside / binom[size]

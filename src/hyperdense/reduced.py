@@ -547,9 +547,21 @@ def _json_int(value, what: str) -> int:
 
 def _key_ints(key: str, count: int, what: str) -> tuple[int, ...]:
     parts = key.split(",")
-    if len(parts) != count:
-        raise ValueError(f"{what} key {key!r} must hold {count} comma-separated integers")
+    # canonical decimals only: int() would also read " 1", "01" and "1_0"
+    if len(parts) != count or not all(x.isascii() and x.isdigit() and str(int(x)) == x for x in parts):
+        raise ValueError(f"{what} key {key!r} must hold {count} comma-separated decimal integers")
     return tuple(int(x) for x in parts)
+
+
+def _index_key(key: str, count: int, m: int, what: str, seen: dict) -> tuple[int, ...]:
+    """The sorted index tuple a key names: count distinct indices in [0, m),
+    not the same set as a key already in seen."""
+    index = tuple(sorted(_key_ints(key, count, what)))
+    if len(set(index)) != count or index[-1] >= m:  # _key_ints admits no negative index
+        raise ValueError(f"{what} key {key!r} must name {count} distinct indices in [0, {m})")
+    if index in seen:
+        raise ValueError(f"{what} key {key!r} repeats an earlier key")
+    return index
 
 
 def reduced_from_dict(data: dict) -> ReducedHypergraph:
@@ -560,11 +572,11 @@ def reduced_from_dict(data: dict) -> ReducedHypergraph:
     m = _json_int(data["m"], "m")
     sizes = {}
     for key, s in _json_object(data["class_size"], "class_size").items():
-        sizes[_key_ints(key, 2, "class_size")] = _json_int(s, f"class_size[{key!r}]")
+        sizes[_index_key(key, 2, m, "class_size", sizes)] = _json_int(s, f"class_size[{key!r}]")
     cons: dict[Triple, set[ClassEdge]] = {}
     for key, es in _json_object(data.get("constituents", {}), "constituents").items():
         what = f"constituents[{key!r}]"
-        cons[_key_ints(key, 3, "constituents")] = {
+        cons[_index_key(key, 3, m, "constituents", cons)] = {
             tuple(_json_int(v, what) for v in _json_list(e, what)) for e in _json_list(es, what)
         }
     return ReducedHypergraph.from_parts(m, sizes, cons)

@@ -233,6 +233,15 @@ COMPLETE_5_2 = serialize_reduced_json(complete_reduced(5, 2))
     pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": 2.7'), id="size-float"),
     pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": "2"'), id="size-string"),
     pytest.param(COMPLETE_5_2.replace("[\n        0,", "[\n        false,", 1), id="vertex-bool"),
+    # class and constituent keys must name distinct indices in [0, m), each set once
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": 2, "0,9": 2'), id="key-out-of-range"),
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": 2, "3,1": 2'), id="key-repeated-unsorted"),
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": 2, "0,0": 2'), id="key-not-distinct"),
+    pytest.param(COMPLETE_5_2.replace('"0,1,2": [', '"0,1,9": [], "0,1,2": ['), id="triple-key-out-of-range"),
+    pytest.param(COMPLETE_5_2.replace('"0,1,2": [', '"2,1,0": [], "0,1,2": ['), id="triple-key-repeated"),
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '" 0, 1": 2'), id="key-spaces"),
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,01": 2'), id="key-leading-zero"),
+    pytest.param(COMPLETE_5_2.replace('"0,1": 2', '"0,1": 2, "0,1_0": 2'), id="key-underscore"),
 ])
 def test_reduced_select_malformed_json_is_input_error(tmp_path, capsys, text):
     path = write(tmp_path, "bad.json", text)

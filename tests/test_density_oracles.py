@@ -13,13 +13,16 @@ land on either side, and that boundary is not what these properties test.
 import json
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gray_oracles import profile_exact, triple_exact, vertex_exact
 from heuristic_oracles import profile_heuristic, vertex_heuristic
 from hyperdense import DensityQuery, Hypergraph, density_profile
-from hyperdense.density import _triple_exact, _vertex_exact, _vertex_heuristic
+from hyperdense.density import _codegrees, _triple_exact, _vertex_exact, _vertex_heuristic, ordered_triple_count
+from hyperdense.rainbow import build_pattern_host, random_pair_colouring
+from hyperdense.seeding import derive_rng
 
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -86,3 +89,43 @@ def test_vertex_heuristic_matches_reference_descent(h, d, eta, budget, restarts,
 def test_profile_heuristic_matches_reference_descent(h, grid, budget, restarts, seed):
     report = density_profile(h, grid, mode="heuristic", budget=budget, restarts=restarts, seed=seed)
     assert same(report, profile_heuristic(h, grid, budget, restarts, seed))
+
+
+def random_host(k: int, n: int, p: float, seed: int) -> Hypergraph:
+    rng = derive_rng(seed, "oracle-host")
+    return Hypergraph(k, n, tuple(e for e in combinations(range(n), k) if rng.random() < p))
+
+
+# At n <= 10 a descent makes only a few moves.  These hosts are the size the
+# heuristics run at: an audit there makes up to about a hundred moves, each
+# relying on the inside degrees that the moves before it kept up to date.
+BENCH_HOSTS = {
+    "pattern-60": lambda: build_pattern_host(random_pair_colouring(60, 3, 1)),
+    "random-4-uniform-16": lambda: random_host(4, 16, 0.3, 0),
+}
+
+
+@pytest.mark.parametrize("name", BENCH_HOSTS)
+@pytest.mark.parametrize("d", [0.01, 0.2])
+def test_vertex_heuristic_matches_reference_descent_at_bench_size(name, d):
+    h = BENCH_HOSTS[name]()
+    query = DensityQuery(d=d, eta=0.01, mode="heuristic", restarts=4)
+    assert same(_vertex_heuristic(h, query), vertex_heuristic(h, query))
+
+
+@pytest.mark.parametrize("name", BENCH_HOSTS)
+def test_profile_heuristic_matches_reference_descent_at_bench_size(name):
+    h = BENCH_HOSTS[name]()
+    grid = [0.25, 0.5]
+    report = density_profile(h, grid, mode="heuristic", restarts=4)
+    assert same(report, profile_heuristic(h, grid, 1000, 4, 0))
+
+
+def test_codegrees_match_ordered_triple_counts():
+    rng = derive_rng(0, "codegree-sets")
+    for seed, (n, p) in enumerate([(12, 0.5), (20, 0.2), (30, 0.1)]):
+        h = random_host(3, n, p, seed)
+        for _ in range(20):
+            first = {v for v in range(n) if rng.random() < 0.5}
+            second = {v for v in range(n) if rng.random() < 0.5}
+            assert _codegrees(h, first, second) == [ordered_triple_count(h, first, second, {w}) for w in range(n)]
