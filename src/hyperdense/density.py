@@ -365,6 +365,19 @@ def _codegrees(h: Hypergraph, first: set[int], second: set[int]) -> list[int]:
     return c
 
 
+def _move_codegrees(links: list[list[tuple[int, int]]], moved: Iterable[int], step: int,
+                    table: list[int], partner: set[int]) -> None:
+    """Add step to a codegree table for each pair of a moved vertex's edge
+    whose other vertex lies in partner."""
+    inside = [0] * len(links)  # step on partner's members, read instead of set lookups
+    for v in partner:
+        inside[v] = step
+    for u in moved:
+        for p, q in links[u]:
+            table[q] += inside[p]
+            table[p] += inside[q]
+
+
 def triple_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
     if h.k != 3:
         raise ValueError("three-set audit requires uniformity 3")
@@ -412,10 +425,21 @@ def _triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
 
 
 def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
+    """Alternating descent: each role in turn becomes the set of vertices
+    whose codegree into the other two sets lies below d times their sizes.
+    Each role's codegree table is built once per restart, when the role is
+    first updated; after that a role update moves the other two tables
+    through the edges of the vertices that joined or left.  The tables are
+    integers, so they equal a fresh count exactly."""
     n = h.n
     best = inf
     best_cert: Optional[tuple] = None
     traces: list[list[float]] = []
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # links[u]: the other two vertices of u's edges
+    for x, y, z in h.edges:
+        links[x].append((y, z))
+        links[y].append((x, z))
+        links[z].append((x, y))
 
     # The ordered-triple count is symmetric in the three roles: it is the
     # sum, over any one set, of the codegrees into the other two.
@@ -429,17 +453,25 @@ def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
             {v for v in range(n) if rng.random() < 0.5},
             {v for v in range(n) if rng.random() < 0.5},
         ]
-        c = _codegrees(h, sets[0], sets[1])
-        obj = objective(sum(c[z] for z in sets[2]))
+        # tables[role][w]: w's codegree into the two sets other than role's,
+        # built when the role is first updated
+        tables: list[Optional[list[int]]] = [None, None, _codegrees(h, sets[0], sets[1])]
+        obj = objective(sum(tables[2][z] for z in sets[2]))
         trace = [obj]
         for _ in range(query.budget):
             changed = False
             for role in (2, 0, 1):
                 a, b = (role + 1) % 3, (role + 2) % 3
-                c = _codegrees(h, sets[a], sets[b])
+                c = tables[role]
+                if c is None:
+                    c = tables[role] = _codegrees(h, sets[a], sets[b])
                 threshold = query.d * len(sets[a]) * len(sets[b])
                 replacement = {v for v in range(n) if c[v] < threshold}
                 if replacement != sets[role]:
+                    for moved, step in ((replacement - sets[role], 1), (sets[role] - replacement, -1)):
+                        for t, partner in ((a, b), (b, a)):
+                            if tables[t] is not None:
+                                _move_codegrees(links, moved, step, tables[t], sets[partner])
                     sets[role] = replacement
                     changed = True
                 new_obj = objective(sum(c[v] for v in replacement))

@@ -185,6 +185,20 @@ def _completion_index(host: Hypergraph) -> dict[Face, tuple[int, ...]]:
     return {f: tuple(sorted(c)) for f, c in idx.items()}
 
 
+def _neighbour_masks(completions: dict[Face, tuple[int, ...]], n: int) -> list[int]:
+    """Bitmask of the host vertices sharing an edge with each vertex, read
+    off the faces alone: for k >= 3 each pair of an edge lies in a face."""
+    bit = [1 << v for v in range(n)]
+    nbr = [0] * n
+    for face in completions:
+        bits = 0
+        for v in face:
+            bits |= bit[v]
+        for v in face:
+            nbr[v] |= bits
+    return [bits & ~bit[v] for v, bits in enumerate(nbr)]
+
+
 def _search_order(pattern: Hypergraph) -> list[int]:
     # Descending degree puts constrained vertices early; ties by index.
     return sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
@@ -199,6 +213,24 @@ def _closing_edges(pattern: Hypergraph, order: Sequence[int]) -> list[list[tuple
         *others, last = sorted(pos[v] for v in e)
         closing[last].append(tuple(others))
     return closing
+
+
+def _pair_checks(
+    pattern: Hypergraph, order: Sequence[int], closing: list[list[tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """For each search position, the earlier positions that share a pattern
+    edge with it but lie in none of its closing edges (the completion index
+    already ties those to it)."""
+    pos = {v: i for i, v in enumerate(order)}
+    checks: list[set[int]] = [set() for _ in order]
+    for e in pattern.edges:
+        ps = sorted(pos[v] for v in e)
+        for j, q in enumerate(ps):
+            checks[q].update(ps[:j])
+    for i, edges in enumerate(closing):
+        for others in edges:
+            checks[i].difference_update(others)
+    return [tuple(sorted(c)) for c in checks]
 
 
 def contains_copy(pattern: Hypergraph, host: Hypergraph) -> Optional[VertexMap]:
@@ -257,7 +289,15 @@ def _count_maps(
     of the injective search and store its map there.  Injectivity reads
     every earlier image through ``used``, so in that walk B_i is the whole
     prefix for i < n: nothing is memoised, and only the last position is
-    eliminated, its least candidate standing in for the witness."""
+    eliminated, its least candidate standing in for the witness.
+
+    A position's candidates complete each of its closing edges, and a pair
+    filter keeps only those adjacent in the host to the image of every
+    earlier position that shares a pattern edge with it closing later: the
+    images of an edge's vertices are k distinct vertices of one host edge,
+    for homomorphisms too.  Those earlier positions lie in B_i, so the memo
+    keys and the elimination stay valid, and only candidates with no
+    completion are dropped, which keeps every count and witness."""
     if pattern.k != host.k:
         raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
     if injective and pattern.n > host.n:
@@ -268,7 +308,9 @@ def _count_maps(
         while first_free > 0 and pattern.degree(order[first_free - 1]) == 0:
             first_free -= 1
     closing = _closing_edges(pattern, order)
+    checks = _pair_checks(pattern, order, closing)
     completions = _completion_index(host)
+    nbr = _neighbour_masks(completions, host.n) if any(checks) else []
     images: list[int] = []
     used: set[int] = set()
 
@@ -280,12 +322,17 @@ def _count_maps(
                 return ()
             pools.append(opts)
         if not pools:
-            return [w for w in range(host.n) if w not in used] if used else range(host.n)
-        if len(pools) == 1:
-            return [w for w in pools[0] if w not in used] if used else pools[0]
-        cand = set(pools[0]).intersection(*pools[1:])
-        cand.difference_update(used)
-        return sorted(cand)
+            pool: Sequence[int] = range(host.n)
+        elif len(pools) == 1:
+            pool = pools[0]
+        else:
+            pool = sorted(set(pools[0]).intersection(*pools[1:]))
+        if checks[i]:
+            near = -1
+            for p in checks[i]:
+                near &= nbr[images[p]]
+            return [w for w in pool if near >> w & 1 and w not in used]
+        return [w for w in pool if w not in used] if used else pool
 
     # boundary[i] = B_i; boundary[first_free] is empty.
     boundary = [

@@ -215,12 +215,32 @@ def build_pattern_host(phi: PairColouring) -> Hypergraph:
     A k-set with sorted vertices u_1 < ... < u_k is an edge iff the face
     omitting u_ell has colour ell for every ell.  For k = 3 this reads:
     earliest pair red, outer pair blue, latest pair green.
+
+    Built from colour bitmasks: later[(s, c)] holds each x above max(s)
+    such that the face s + x has colour c.  An edge is a face p of colour k
+    (its first k-1 vertices) plus a last vertex x > p[-1] with x in
+    later[(p minus its ell-th vertex, ell)] for each ell < k, so the edges
+    come out in sorted order, face by face and x ascending.
     """
+    k = phi.k
+    later: dict[tuple[Face, int], int] = {}
+    for face, c in phi.colours.items():
+        key = (face[:-1], c)
+        later[key] = later.get(key, 0) | 1 << face[-1]
     edges = []
-    for e in combinations(range(phi.n), phi.k):
-        if all(phi.colours[_face_dropping(e, e[ell - 1])] == ell for ell in range(1, phi.k + 1)):
-            edges.append(e)
-    return Hypergraph(phi.k, phi.n, tuple(edges))
+    for p in combinations(range(phi.n), k - 1):
+        if phi.colours[p] != k:
+            continue
+        xs = -2 << p[-1]  # every vertex above p[-1]
+        for ell in range(k - 1):
+            xs &= later.get((p[:ell] + p[ell + 1:], ell + 1), 0)
+            if not xs:
+                break
+        while xs:  # the set bits, ascending
+            low = xs & -xs
+            edges.append(p + (low.bit_length() - 1,))
+            xs ^= low
+    return Hypergraph(k, phi.n, tuple(edges))
 
 
 def random_pair_colouring(n: int, k: int, seed: int) -> PairColouring:

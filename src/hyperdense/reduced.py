@@ -128,12 +128,6 @@ def degree(rh: ReducedHypergraph, triple: Triple, pair: Pair, vertex: int) -> in
     return sum(1 for e in rh.edges_of(triple) if e[slot] == vertex)
 
 
-def pair_degree(rh: ReducedHypergraph, triple: Triple, p: int, q: int) -> int:
-    """Constituent edges containing both the ij-class vertex p and the
-    ik-class vertex q."""
-    return sum(1 for e in rh.edges_of(triple) if e[0] == p and e[1] == q)
-
-
 def red_candidates(rh: ReducedHypergraph, mu_prime: float, triple: Triple) -> frozenset[int]:
     """Vertices of P^{ij} whose degree in the constituent meets the
     mu' * |P^{ik}| * |P^{jk}| threshold."""
@@ -318,38 +312,6 @@ def select_blue(
     if not verify_selection(inst, chosen, choices, "outer"):
         raise RuntimeError("blue selection does not verify")
     return tuple(chosen), choices
-
-
-def select_two_indices(
-    sets: Sequence[Sequence], pools: dict[Pair, set], eps: float, m: int
-) -> Optional[tuple[tuple[int, ...], dict[int, object]]]:
-    """Choose m indices and one element d_s per chosen s with d_s valid for
-    every earlier chosen r (pools[(r, s)] refines sets[s]).
-
-    Reduces to a green selection on one extra index whose pair elements
-    with the dropped maximum become the d_s."""
-    M = len(sets)
-    for (r, s), pool in pools.items():
-        if not set(pool).issubset(sets[s]):
-            raise SelectionInputError(f"pool {(r, s)} leaves its ground set")
-        if len(pool) < eps * len(sets[s]):
-            raise SelectionInputError(f"pool {(r, s)} below the size margin")
-    classes = {(s, t): tuple(sorted(sets[s])) for s, t in combinations(range(M), 2)}
-    candidates = {
-        (r, s, t): frozenset(pools[(r, s)]) for r, s, t in combinations(range(M), 3)
-    }
-    res = select_green(SelectionInstance(M, classes, candidates), eps, None if m is None else m + 1)
-    if res is None:
-        return None
-    indices, greens = res
-    z = indices[-1]
-    kept = indices[:-1]
-    elements = {s: greens[(s, z)] for s in kept}
-    for a, r in enumerate(kept):
-        for s in kept[a + 1:]:
-            if elements[s] not in pools[(r, s)]:
-                raise RuntimeError(f"element for index {s} leaves pool {(r, s)}")
-    return kept, elements
 
 
 # ---------------------------------------------------------------------------
@@ -595,22 +557,27 @@ def selection_to_dict(sel: CoreSelection) -> dict:
 
 
 def selection_from_dict(data: dict) -> CoreSelection:
-    """Parse the core-selection JSON schema; malformed input raises ValueError."""
+    """Parse the core-selection JSON schema; malformed input raises ValueError.
+    Each colour's keys must be exactly the position pairs "a,b" with
+    0 <= a < b < f, where f is the number of selected indices."""
     data = _json_object(data, "core selection")
     missing = [key for key in ("lambda", "red", "blue", "green") if key not in data]
     if missing:
         raise ValueError(f"core selection lacks the keys {missing}")
+    indices = tuple(_json_int(i, "lambda") for i in _json_list(data["lambda"], "lambda"))
+    pairs = set(combinations(range(len(indices)), 2))
 
     def colour(name: str) -> dict[Pair, int]:
         mapping = _json_object(data[name], name)
-        return {_key_ints(key, 2, name): _json_int(v, f"{name}[{key!r}]") for key, v in mapping.items()}
+        got = {_key_ints(key, 2, name): _json_int(v, f"{name}[{key!r}]") for key, v in mapping.items()}
+        if got.keys() != pairs:
+            bad = sorted(got.keys() - pairs) or sorted(pairs - got.keys())
+            what = "has the stray key" if got.keys() - pairs else "lacks the key"
+            raise ValueError(f"{name} {what} {bad[0][0]},{bad[0][1]}: its keys must be the pairs "
+                             f"a,b with 0 <= a < b < {len(indices)}")
+        return got
 
-    return CoreSelection(
-        tuple(_json_int(i, "lambda") for i in _json_list(data["lambda"], "lambda")),
-        colour("red"),
-        colour("blue"),
-        colour("green"),
-    )
+    return CoreSelection(indices, colour("red"), colour("blue"), colour("green"))
 
 
 def parse_reduced_json(text: str) -> ReducedHypergraph:

@@ -96,39 +96,63 @@ def kary_edge_count(k: int, n: int) -> int:
     return (k ** (k * n) - k ** n) // (k ** k - k)
 
 
-def _label_assignments(count: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Canonical part labels (first occurrences in increasing order), at
-    least two distinct labels, at most k.  Quotients out part-label
-    symmetry without losing completeness."""
-
-    def rec(prefix: list[int], used: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == count:
-            if used >= 2:
-                yield tuple(prefix)
-            return
-        for lab in range(min(used + 1, k)):
-            prefix.append(lab)
-            yield from rec(prefix, max(used, lab + 1))
-            prefix.pop()
-
-    if count >= 2:
-        yield from rec([0], 1)
-
-
 def _splits(pattern: Hypergraph, vs: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
     """The k parts (some possibly empty) of each canonical labelling of vs
     under which every edge of F[vs] lies inside one part or meets all k
-    parts: the first digits of a map of F[vs] into a digit-string host."""
+    parts: the first digits of a map of F[vs] into a digit-string host.
+
+    Canonical labels take first occurrences in increasing order, so a vertex
+    gets a label at most one above the labels before it; at least two labels
+    occur, at most k.  This quotients out part-label symmetry without losing
+    completeness.  The vertices of vs are labelled one at a time, and at each
+    edge's last vertex only one label can keep the edge: the label its other
+    k-1 vertices share, or the one they miss when they are all distinct.
+    Labels are tried in increasing order, so the splits come out in the
+    lexicographic order of their label sequences.  For k = 2 every
+    labelling keeps every edge.
+    """
     k = pattern.k
-    vset = set(vs)
-    edges = [e for e in pattern.edges if vset.issuperset(e)]
-    for labels in _label_assignments(len(vs), k):
-        label_of = dict(zip(vs, labels))
-        if all(len({label_of[v] for v in e}) in (1, k) for e in edges):
-            parts: list[list[int]] = [[] for _ in range(k)]
-            for v, lab in zip(vs, labels):
-                parts[lab].append(v)
-            yield [tuple(part) for part in parts]
+    if len(vs) < 2:
+        return
+    index = {v: i for i, v in enumerate(vs)}
+    # closing[i]: each edge of F[vs] whose last vertex is vs[i], as the
+    # positions of its other vertices
+    closing: list[list[list[int]]] = [[] for _ in vs]
+    for e in pattern.edges if k > 2 else ():
+        if all(v in index for v in e):
+            *others, last = sorted(index[v] for v in e)
+            closing[last].append(others)
+    missing_sum = k * (k - 1) // 2  # labels 0..k-1 sum to this
+    labels: list[int] = []
+
+    def rec(i: int, used: int) -> Iterator[list[tuple[int, ...]]]:
+        if i == len(vs):
+            if used >= 2:
+                parts: list[list[int]] = [[] for _ in range(k)]
+                for v, lab in zip(vs, labels):
+                    parts[lab].append(v)
+                yield [tuple(part) for part in parts]
+            return
+        forced = -1
+        for others in closing[i]:
+            seen = {labels[p] for p in others}
+            if len(seen) == 1:
+                lab = labels[others[0]]
+            elif len(seen) == k - 1:
+                lab = missing_sum - sum(seen)
+            else:
+                return
+            if forced != lab:
+                if forced >= 0:
+                    return
+                forced = lab
+        for lab in range(min(used + 1, k)) if forced < 0 else (forced,):
+            labels.append(lab)
+            yield from rec(i + 1, max(used, lab + 1))
+            labels.pop()
+
+    labels.append(0)
+    yield from rec(1, 1)
 
 
 def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:

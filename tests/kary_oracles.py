@@ -1,15 +1,21 @@
-"""Host-building references for the digit-string recursions.
+"""References for the digit-string recursions.
 
 ``edge_mask_counts`` is the counter the sampled subset audit used before it
 counted by the host's split: it builds the depth-level ternary host and
 tests every mask against each edge mask.  ``size_minima`` scans all
 2**(3**level) subsets of that host for the least edge count at each size.
+``splits`` is the split enumeration the frequency decider used before it
+propagated labels: it lists every canonical labelling and only then tests
+each edge.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
+from hyperdense.hypergraphs import Hypergraph
 from hyperdense.ternary import build_kary
 
 
@@ -30,3 +36,36 @@ def size_minima(level: int) -> list[int]:
     counts = edge_mask_counts(masks, level)
     sizes = np.bitwise_count(masks)
     return [int(counts[sizes == s].min()) for s in range(n + 1)]
+
+
+def label_assignments(count: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Canonical part labels (first occurrences in increasing order), at
+    least two distinct labels, at most k."""
+
+    def rec(prefix: list[int], used: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == count:
+            if used >= 2:
+                yield tuple(prefix)
+            return
+        for lab in range(min(used + 1, k)):
+            prefix.append(lab)
+            yield from rec(prefix, max(used, lab + 1))
+            prefix.pop()
+
+    if count >= 2:
+        yield from rec([0], 1)
+
+
+def splits(pattern: Hypergraph, vs: tuple[int, ...]) -> Iterator[list[tuple[int, ...]]]:
+    """The k parts of each canonical labelling of vs under which every edge
+    of F[vs] lies inside one part or meets all k parts."""
+    k = pattern.k
+    vset = set(vs)
+    edges = [e for e in pattern.edges if vset.issuperset(e)]
+    for labels in label_assignments(len(vs), k):
+        label_of = dict(zip(vs, labels))
+        if all(len({label_of[v] for v in e}) in (1, k) for e in edges):
+            parts: list[list[int]] = [[] for _ in range(k)]
+            for v, lab in zip(vs, labels):
+                parts[lab].append(v)
+            yield [tuple(part) for part in parts]

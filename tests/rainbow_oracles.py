@@ -1,18 +1,22 @@
-"""Reference search for the rainbow-ordering decider in ``hyperdense.rainbow``.
+"""References for the rainbow-ordering decider and the pattern host in
+``hyperdense.rainbow``.
 
 ``find_rainbow_ordering`` is the backtracking search the library used
 before it fixed face colours at placement and memoised failed prefixes:
 it checks an edge's colour demands only once all of the edge's vertices
 are placed.  Like the library, it tries vertices in ascending index, so
 both must return the same lexicographically least witness.
+``build_pattern_host`` is the construction the library used before it
+intersected colour bitmasks: it tests every k-set of [n].
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Optional
 
 from hyperdense.hypergraphs import Face, Hypergraph
-from hyperdense.rainbow import ShadowColouring, _face_dropping
+from hyperdense.rainbow import PairColouring, ShadowColouring, _face_dropping
 
 
 def find_rainbow_ordering(pattern: Hypergraph) -> Optional[ShadowColouring]:
@@ -77,3 +81,13 @@ def find_rainbow_ordering(pattern: Hypergraph) -> Optional[ShadowColouring]:
     if not dfs():
         return None
     return ShadowColouring(tuple(seq), dict(colours))
+
+
+def build_pattern_host(phi: PairColouring) -> Hypergraph:
+    """The k-sets u_1 < ... < u_k whose face omitting u_ell has colour ell
+    for every ell."""
+    edges = []
+    for e in combinations(range(phi.n), phi.k):
+        if all(phi.colours[_face_dropping(e, e[ell - 1])] == ell for ell in range(1, phi.k + 1)):
+            edges.append(e)
+    return Hypergraph(phi.k, phi.n, tuple(edges))

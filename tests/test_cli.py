@@ -260,6 +260,26 @@ def test_reduced_verify_malformed_selection_is_input_error(tmp_path, capsys, tex
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("colour,edit", [
+    pytest.param("red", lambda keys: {**keys, "0,9": 1}, id="red-position-out-of-range"),
+    pytest.param("blue", lambda keys: {**keys, "1,0": 7}, id="blue-reversed-pair"),
+    pytest.param("green", lambda keys: {**keys, "1,1": 0}, id="green-not-a-pair"),
+    pytest.param("green", lambda keys: {k: v for k, v in keys.items() if k != "0,2"}, id="green-missing-pair"),
+])
+def test_reduced_verify_rejects_colour_keys_other_than_the_pairs(tmp_path, capsys, colour, edit):
+    # verify_core reads only the keys it needs, so the parser must reject the rest
+    path = write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(5, 2)))
+    code, out, _ = run(capsys, "reduced", "select", path, "--mu", "1.0", "--f", "3")
+    assert code == 0
+    selection = json.loads(out)["result"]["selection"]
+    selection[colour] = edit(selection[colour])
+    sel_path = write(tmp_path, "sel.json", json.dumps(selection))
+    code, out, err = run(capsys, "reduced", "verify", path, "--selection", sel_path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {colour} ") and err.count("\n") == 1
+
+
 def test_verify_fact7(capsys):
     code, out, _ = run(capsys, "verify-fact7", "--resolution", "51")
     assert code == 0

@@ -4,16 +4,20 @@ Homomorphism and embedding counts must equal the leaf-per-map counter
 exactly, and ``contains_copy`` must return the very witness of the old
 containment search.  Patterns have up to 6 vertices, including none and
 isolated ones; hosts are empty, complete, random, or the digit-string
-hosts of depth at most 2.
+hosts of depth at most 2.  Fixed 4-uniform cases, where a host's faces
+are triples rather than pairs, check the pair filter's neighbourhoods.
 """
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backtrack_oracles import count_maps, first_copy, naive_contains_copy
 from hyperdense import Hypergraph, contains_copy, count_embeddings, count_homomorphisms, is_embedding
+from hyperdense.hypergraphs import _closing_edges, _pair_checks, _search_order
+from hyperdense.seeding import derive_rng
 from hyperdense.ternary import build_kary
 
 ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
@@ -69,3 +73,42 @@ def test_contains_copy_returns_the_backtracking_witness(pair):
     else:
         assert list(witness.mapping.items()) == list(reference.mapping.items())
         assert witness.injective and is_embedding(pattern, host, witness.mapping)
+
+
+def random_host(k, n, p, label):
+    rng = derive_rng(5, f"oracle-host/{label}")
+    return Hypergraph(k, n, tuple(e for e in combinations(range(n), k) if rng.random() < p))
+
+
+K4_HOSTS = {
+    "random-9": random_host(4, 9, 0.3, "4/9"),
+    "random-11-sparse": random_host(4, 11, 0.08, "4/11"),
+    "random-13-sparse": random_host(4, 13, 0.04, "4/13"),
+}
+K4_PATTERNS = {
+    "tight-path-6": Hypergraph(4, 6, ((0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5))),
+    "loose-path-7": Hypergraph(4, 7, ((0, 1, 2, 3), (3, 4, 5, 6))),
+    "two-share-two": Hypergraph(4, 6, ((0, 1, 2, 3), (0, 1, 4, 5))),
+    "triangle-of-pairs": Hypergraph(4, 6, ((0, 1, 2, 3), (0, 1, 4, 5), (2, 3, 4, 5))),
+    "sunflower-plus-isolated": Hypergraph(4, 8, ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 5, 6))),
+}
+
+
+def test_k4_patterns_exercise_the_pair_filter():
+    for pattern in K4_PATTERNS.values():
+        order = _search_order(pattern)
+        if pattern.edge_count > 1:
+            assert any(_pair_checks(pattern, order, _closing_edges(pattern, order)))
+
+
+@pytest.mark.parametrize("host_name", K4_HOSTS)
+@pytest.mark.parametrize("pattern_name", K4_PATTERNS)
+def test_k4_hosts_match_backtracking(pattern_name, host_name):
+    pattern, host = K4_PATTERNS[pattern_name], K4_HOSTS[host_name]
+    assert count_homomorphisms(pattern, host) == count_maps(pattern, host, injective=False)
+    assert count_embeddings(pattern, host) == count_maps(pattern, host, injective=True)
+    witness, reference = contains_copy(pattern, host), first_copy(pattern, host)
+    if reference is None:
+        assert witness is None
+    else:
+        assert list(witness.mapping.items()) == list(reference.mapping.items())

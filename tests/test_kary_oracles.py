@@ -4,19 +4,22 @@ The subset audit's split counter and its size minima must equal counts
 taken edge by edge in ``build_kary(3, level)``, and ``kary_hom_counts`` at
 each depth must equal ``count_homomorphisms`` into the built host.
 Patterns include the empty one, isolated vertices, and patterns that embed
-into no digit-string host.
+into no digit-string host.  The propagated split enumeration must list the
+reference's splits in the reference's order on every vertex subset.
 """
 
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kary_oracles import edge_mask_counts, size_minima
-from hyperdense import Hypergraph, count_homomorphisms, induced_edge_count
+from kary_oracles import edge_mask_counts, size_minima, splits
+from hyperdense import Hypergraph, count_homomorphisms, enumerate_hypergraphs, induced_edge_count
 from hyperdense.inequalities import _extremal_subset, _size_minima, _split_counts
-from hyperdense.ternary import build_kary, kary_hom_counts
+from hyperdense.seeding import derive_rng
+from hyperdense.ternary import _splits, build_kary, kary_hom_counts
 
 ORACLE_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -64,3 +67,42 @@ def pattern_and_depth(draw):
 def test_kary_hom_count_matches_built_host(case):
     pattern, depth = case
     assert kary_hom_counts(pattern, depth)[depth] == count_homomorphisms(pattern, build_kary(pattern.k, depth))
+
+
+def all_subsets(n):
+    return [vs for r in range(n + 1) for vs in combinations(range(n), r)]
+
+
+def test_splits_match_reference_on_every_labelled_3_graph_on_5_vertices():
+    subsets = all_subsets(5)
+    nonempty = 0
+    for pattern in enumerate_hypergraphs(3, 5):
+        for vs in subsets:
+            got = list(_splits(pattern, vs))
+            assert got == list(splits(pattern, vs)), (pattern.edges, vs)
+            nonempty += bool(got)
+    assert nonempty > len(subsets) * 1024 // 2
+
+
+def random_pattern(k, n, p, label):
+    rng = derive_rng(11, f"splits/{label}")
+    return Hypergraph(k, n, tuple(e for e in combinations(range(n), k) if rng.random() < p))
+
+
+SPLIT_PATTERNS = {
+    "tight-path-8": Hypergraph(3, 8, tuple((i, i + 1, i + 2) for i in range(6))),
+    "loose-cycle-8": Hypergraph.from_edges(3, 8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)]),
+    "random-8-sparse": random_pattern(3, 8, 0.1, "3/8/a"),
+    "random-8-dense": random_pattern(3, 8, 0.3, "3/8/b"),
+    "k4-tight-path-7": Hypergraph(4, 7, tuple(tuple(range(i, i + 4)) for i in range(4))),
+    "k4-random-7": random_pattern(4, 7, 0.15, "4/7"),
+    "k5-random-7": random_pattern(5, 7, 0.2, "5/7"),
+    "graph-6": random_pattern(2, 6, 0.4, "2/6"),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_PATTERNS)
+def test_splits_match_reference_on_larger_patterns(name):
+    pattern = SPLIT_PATTERNS[name]
+    for vs in all_subsets(pattern.n):
+        assert list(_splits(pattern, vs)) == list(splits(pattern, vs)), vs

@@ -15,7 +15,6 @@ from hyperdense.reduced import (
     SelectionInputError,
     complete_reduced,
     degree,
-    pair_degree,
     parse_reduced_json,
     random_reduced,
     red_candidates,
@@ -23,7 +22,6 @@ from hyperdense.reduced import (
     select_blue,
     select_green,
     select_red,
-    select_two_indices,
     selection_from_dict,
     selection_to_dict,
     serialize_reduced_json,
@@ -74,7 +72,6 @@ def test_random_half_density_usually_quarter_dense():
 def test_degree_complete_and_empty():
     rh = complete_reduced(3, 3)
     assert degree(rh, (0, 1, 2), (0, 1), 0) == 9
-    assert pair_degree(rh, (0, 1, 2), 1, 2) == 3
     cons = dict(rh.constituents)
     cons[(0, 1, 2)] = frozenset()
     empty = ReducedHypergraph(3, rh.class_sizes, cons)
@@ -221,40 +218,6 @@ def test_verify_selection_rejects_one_broken_element(select, anchor, pair):
     # 1 leaves the triple's candidates, 2 leaves the class, None leaves the pair without an element
     for broken in (1, 2, None):
         assert not verify_selection(inst, indices, {**choices, pair: broken}, anchor)
-
-
-def test_select_two_indices_full_pools():
-    sets = [tuple(range(3))] * 6
-    pools = {(r, s): set(range(3)) for r, s in combinations(range(6), 2)}
-    res = select_two_indices(sets, pools, 1.0, 3)
-    assert res is not None
-    indices, elements = res
-    assert len(indices) == 3
-    for a, r in enumerate(indices):
-        for s in indices[a + 1:]:
-            assert elements[s] in pools[(r, s)]
-
-
-def test_select_two_indices_m_one():
-    sets = [tuple(range(2))] * 3
-    pools = {(r, s): {0} for r, s in combinations(range(3), 2)}
-    res = select_two_indices(sets, pools, 0.5, 1)
-    assert res is not None and len(res[0]) == 1
-
-
-def test_select_two_indices_structured():
-    rng = derive_rng(19, "two-indices")
-    sets = [tuple(range(3))] * 8
-    pools = {
-        (r, s): {e for e in range(3) if rng.random() < 0.7} or {r % 3}
-        for r, s in combinations(range(8), 2)
-    }
-    res = select_two_indices(sets, pools, 1 / 3, 3)
-    if res is not None:
-        indices, elements = res
-        for a, r in enumerate(indices):
-            for s in indices[a + 1:]:
-                assert elements[s] in pools[(r, s)]
 
 
 # --- the pipeline -----------------------------------------------------------------------
