@@ -29,7 +29,8 @@ EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, default=str) + "\n"
+    # JSON has no Infinity or NaN: a report holding one raises ValueError (exit 2)
+    text = json.dumps(payload, indent=2, default=str, allow_nan=False) + "\n"
     out = getattr(args, "output", None)
     if out:
         Path(out).write_text(text)

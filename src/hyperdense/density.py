@@ -66,8 +66,8 @@ class DensityQuery:
     def __post_init__(self):
         if not 0.0 <= self.d <= 1.0:
             raise ValueError(f"d must lie in [0, 1], got {self.d}")
-        if not 0.0 < self.eta < inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
         _check_search(self.budget, self.restarts)
         if self.mode not in ("exact", "heuristic"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -230,6 +230,14 @@ def _exact_report(notion: str, query: DensityQuery, slack: float, cert: dict, st
                          cert if slack < 0 else None, slack, {"mode": "exact", **stats})
 
 
+def _heuristic_report(notion: str, query: DensityQuery, slack: float, cert: dict, stats: dict) -> DensityReport:
+    """A search that finds no negative slack proves nothing: "unresolved"."""
+    violated = slack < 0
+    return DensityReport(notion, "violated" if violated else "unresolved", query.d, query.eta,
+                         cert if violated else None, slack if violated else None,
+                         {"mode": "heuristic", "restarts": query.restarts, **stats})
+
+
 # ---------------------------------------------------------------------------
 # vertex notion
 
@@ -313,22 +321,9 @@ def _vertex_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
                 best_slack, best_mask = slack, mask
         # a step is a scan for a move, the last one finding none unless the budget ran out
         steps_total += min(states, query.budget)
-    subset = _decode(best_mask, n)
-    violated = best_slack < 0
-    return DensityReport(
-        notion="vertex",
-        verdict="violated" if violated else "unresolved",
-        d=query.d,
-        eta=query.eta,
-        certificate={"U": list(subset)} if violated else None,
-        slack=best_slack if violated else None,
-        stats={
-            "mode": "heuristic",
-            "restarts": query.restarts,
-            "steps": steps_total,
-            "best_slack": best_slack,
-            "seed": query.seed,
-        },
+    return _heuristic_report(
+        "vertex", query, best_slack, {"U": list(_decode(best_mask, n))},
+        {"steps": steps_total, "best_slack": best_slack, "seed": query.seed},
     )
 
 
@@ -433,7 +428,7 @@ def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
     integers, so they equal a fresh count exactly."""
     n = h.n
     best = inf
-    best_cert: Optional[tuple] = None
+    best_cert: tuple = ((), (), ())
     traces: list[list[float]] = []
     links: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # links[u]: the other two vertices of u's edges
     for x, y, z in h.edges:
@@ -485,22 +480,10 @@ def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
         if obj < best:
             best = obj
             best_cert = (tuple(sorted(sets[0])), tuple(sorted(sets[1])), tuple(sorted(sets[2])))
-    violated = best < 0
-    X, Y, Z = best_cert if best_cert else ((), (), ())
-    return DensityReport(
-        notion="triple",
-        verdict="violated" if violated else "unresolved",
-        d=query.d,
-        eta=query.eta,
-        certificate={"X": list(X), "Y": list(Y), "Z": list(Z)} if violated else None,
-        slack=best if violated else None,
-        stats={
-            "mode": "heuristic",
-            "restarts": query.restarts,
-            "seed": query.seed,
-            "best_objective": best,
-            "objective_traces": traces,
-        },
+    X, Y, Z = best_cert
+    return _heuristic_report(
+        "triple", query, best, {"X": list(X), "Y": list(Y), "Z": list(Z)},
+        {"seed": query.seed, "best_objective": best, "objective_traces": traces},
     )
 
 

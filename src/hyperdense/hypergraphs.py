@@ -78,9 +78,6 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         return len(self._edges_by_vertex[v])
 
-    def edges_containing(self, v: int) -> tuple[Edge, ...]:
-        return self._edges_by_vertex[v]
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

@@ -94,6 +94,8 @@ def density_floor(size: int, level: int) -> float:
 
 
 KARY_EXACT_LIMIT = 5
+# |slice|**3 reaches 27**n at r = 0, past the largest float from n = 216 on
+SLICE_DEPTH_LIMIT = 215
 SUPERSAT_DEPTH_LIMIT = 64
 _FLOAT_TOLERANCE = 1e-9
 _SAMPLE_SLICE = 1 << 15
@@ -212,8 +214,8 @@ def binary_prefix_slice(r: int, n: int) -> SliceStats:
     {0, 1}: eta = (2/3)**r, edge count 2**r * (27**(n-r) - 3**(n-r)) / 24,
     and the leading-term ratio against eta**rho * |U|**3 / 24, which equals
     1 - 9**-(n-r)."""
-    if r < 0 or n < 0 or r > n:
-        raise ValueError("need 0 <= r <= n")
+    if not 0 <= r <= n <= SLICE_DEPTH_LIMIT:
+        raise ValueError(f"need 0 <= r <= n <= {SLICE_DEPTH_LIMIT}")
     edges = 2**r * (27 ** (n - r) - 3 ** (n - r)) // 24
     size = 2**r * 3 ** (n - r)
     eta = (2.0 / 3.0) ** r

@@ -28,12 +28,6 @@ from .seeding import derive_rng
 COLOUR_NAMES = {1: "green", 2: "blue", 3: "red"}
 
 
-def colour_name(colour: int, k: int) -> str:
-    if k == 3:
-        return COLOUR_NAMES[colour]
-    return str(colour)
-
-
 @dataclass(frozen=True)
 class ShadowColouring:
     """A vertex ordering plus a total colouring of the shadow.
@@ -256,7 +250,7 @@ def witness_to_dict(witness: ShadowColouring, k: int) -> dict:
     return {
         "ordering": list(witness.order),
         "colours": [
-            {"tuple": list(face), "colour": colour_name(c, k) if k == 3 else c}
+            {"tuple": list(face), "colour": COLOUR_NAMES[c] if k == 3 else c}
             for face, c in sorted(witness.colours.items())
         ],
     }

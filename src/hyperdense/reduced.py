@@ -155,14 +155,6 @@ class SelectionInstance:
     classes: dict[Pair, tuple]
     candidates: dict[Triple, frozenset]
 
-    @classmethod
-    def build(cls, size: int, classes: dict[Pair, Sequence], candidates: dict[Triple, set]) -> "SelectionInstance":
-        return cls(
-            size,
-            {tuple(p): tuple(sorted(c)) for p, c in classes.items()},
-            {tuple(t): frozenset(s) for t, s in candidates.items()},
-        )
-
 
 def reverse_instance(inst: SelectionInstance) -> SelectionInstance:
     """Index reversal i -> size-1-i; an involution that swaps the red and

@@ -42,7 +42,7 @@ from hyperdense.rainbow import ShadowColouring
 from hyperdense.reduced import complete_reduced, random_reduced, reverse_instance, select_green, select_red
 from hyperdense.reduced import SelectionInstance
 from hyperdense.seeding import derive_rng
-from hyperdense.ternary import vector_of
+from hyperdense.ternary import classify_patterns, vector_of
 
 from conftest import FIGURE_COLOURS, FIGURE_ORDER
 
@@ -184,13 +184,10 @@ def test_criterion_07_frequency_decider(k4):
         assert (find_kary_embedding(pattern) is not None) == (
             contains_copy(pattern, host4) is not None
         )
-    inconsistent = 0
-    patterns = 0
-    for pattern in enumerate_hypergraphs(3, 5):
-        patterns += 1
-        if is_frequent(pattern) and find_rainbow_ordering(pattern) is None:
-            inconsistent += 1
-    assert patterns == 1024 and inconsistent == 0
+    classes = classify_patterns(5)
+    assert sum(classes.values()) == 1024 and classes["frequent_not_orderable"] == 0
+    assert classes == {"frequent_and_orderable": 181, "orderable_only": 60, "neither": 783,
+                       "frequent_not_orderable": 0}
     assert not is_frequent(k4)
     report(7, "frequency decider: 16-pattern agreement, 1024-pattern sweep consistent", t0)
 

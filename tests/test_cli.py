@@ -9,13 +9,22 @@ import pytest
 
 import hyperdense
 from hyperdense import parse_hypergraph, rainbow
-from hyperdense.cli import main
+from hyperdense.cli import _emit, main
 from hyperdense.reduced import complete_reduced, serialize_reduced_json
 
 from conftest import C5_MINUS_TEXT
 
 K4_TEXT = "3 4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 EMPTY10_TEXT = "3 10 0\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads(text):
+    """Parse a report as strict JSON, so that Infinity or NaN fails the test."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run(capsys, *argv):
@@ -34,7 +43,7 @@ def test_decide_pi1_witness(tmp_path, capsys):
     path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
     code, out, _ = run(capsys, "decide-pi1", path)
     assert code == 0
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["schema"] == 1
     assert payload["result"]["witness"]["ordering"] == [1, 4, 2, 0, 3]
 
@@ -43,7 +52,7 @@ def test_decide_pi1_none(tmp_path, capsys):
     path = write(tmp_path, "k4.hyg", K4_TEXT)
     code, out, _ = run(capsys, "decide-pi1", path)
     assert code == 1
-    assert json.loads(out)["result"]["witness"] == "none"
+    assert loads(out)["result"]["witness"] == "none"
 
 
 def test_decide_pi1_bad_input(tmp_path, capsys):
@@ -62,7 +71,7 @@ def test_frequent_witness_and_none(tmp_path, capsys):
     edge = write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")
     code, out, _ = run(capsys, "frequent", edge)
     assert code == 0
-    assert json.loads(out)["result"]["witness"]["length"] == 1
+    assert loads(out)["result"]["witness"]["length"] == 1
     k4 = write(tmp_path, "k4.hyg", K4_TEXT)
     code, out, _ = run(capsys, "frequent", k4)
     assert code == 1
@@ -122,7 +131,7 @@ def test_audit_vertex_violated(tmp_path, capsys):
     path = write(tmp_path, "empty.hyg", EMPTY10_TEXT)
     code, out, _ = run(capsys, "audit", "vertex", path, "--d", "0.5", "--eta", "0.01")
     assert code == 1
-    result = json.loads(out)["result"]
+    result = loads(out)["result"]
     assert result["verdict"] == "violated"
     assert result["certificate"]["U"] == list(range(10))
 
@@ -134,7 +143,7 @@ def test_audit_vertex_satisfied(tmp_path, capsys):
     path = write(tmp_path, "k6.hyg", complete)
     code, out, _ = run(capsys, "audit", "vertex", path, "--d", "1.0", "--eta", "0.01")
     assert code == 0
-    assert json.loads(out)["result"]["verdict"] == "satisfied"
+    assert loads(out)["result"]["verdict"] == "satisfied"
 
 
 def test_audit_heuristic_unresolved_exit_code(tmp_path, capsys):
@@ -144,7 +153,7 @@ def test_audit_heuristic_unresolved_exit_code(tmp_path, capsys):
         "--mode", "heuristic", "--restarts", "2", "--budget", "10",
     )
     assert code == 3
-    assert json.loads(out)["result"]["verdict"] == "unresolved"
+    assert loads(out)["result"]["verdict"] == "unresolved"
 
 
 def test_audit_profile(tmp_path, capsys):
@@ -154,7 +163,7 @@ def test_audit_profile(tmp_path, capsys):
     path = write(tmp_path, "t2.hyg", t2_text)
     code, out, _ = run(capsys, "audit", "profile", path, "--eta-grid", "1.0")
     assert code == 0
-    entry = json.loads(out)["result"]["entries"][0]
+    entry = loads(out)["result"]["entries"][0]
     assert abs(entry["density"] - 30 / 84) < 1e-12
 
 
@@ -180,20 +189,38 @@ def test_audit_rejects_non_finite_eta(tmp_path, capsys, notion, mode, eta):
     code, out, err = run(capsys, "audit", notion, path, "--eta", eta, "--mode", mode, "--restarts", "2")
     assert code == 2
     assert out == ""
-    assert err == f"error: eta must be positive and finite, got {float(eta)}\n"
+    assert err == f"error: eta must lie in (0, 1], got {float(eta)}\n"
+
+
+@pytest.mark.parametrize("notion", ["vertex", "triple"])
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+@pytest.mark.parametrize("eta", ["1.5", "1e308"])
+def test_audit_rejects_eta_above_one(tmp_path, capsys, notion, mode, eta):
+    # at 1e308, eta * n**k overflows a float to inf
+    path = write(tmp_path, "edge4.hyg", "3 4 1\n0 1 2\n")
+    code, out, err = run(capsys, "audit", notion, path, "--d", "0.5", "--eta", eta, "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: eta must lie in (0, 1], got {float(eta)}\n"
+
+
+def test_reports_never_print_non_finite_numbers(capsys):
+    with pytest.raises(ValueError):
+        _emit({"slack": float("inf")}, None)
+    assert capsys.readouterr().out == ""
 
 
 def test_sweep_small(capsys):
     code, out, _ = run(capsys, "sweep", "3")
     assert code == 0
-    result = json.loads(out)["result"]
+    result = loads(out)["result"]
     assert result["patterns"] == 2
     assert result["consistent"] is True
 
 
 def test_sweep_f4_classes(capsys):
     code, out, _ = run(capsys, "sweep", "4")
-    result = json.loads(out)["result"]
+    result = loads(out)["result"]
     assert result["patterns"] == 16
     assert result["classes"]["frequent_and_orderable"] == 11
     assert result["classes"]["neither"] == 5
@@ -205,16 +232,16 @@ def test_reduced_select_and_verify(tmp_path, capsys):
     path = write(tmp_path, "reduced.json", serialize_reduced_json(rh))
     code, out, _ = run(capsys, "reduced", "select", path, "--mu", "1.0", "--f", "3")
     assert code == 0
-    selection = json.loads(out)["result"]["selection"]
+    selection = loads(out)["result"]["selection"]
     sel_path = write(tmp_path, "sel.json", json.dumps(selection))
     code, out, _ = run(capsys, "reduced", "verify", path, "--selection", sel_path)
     assert code == 0
-    assert json.loads(out)["result"]["valid"] is True
+    assert loads(out)["result"]["valid"] is True
 
 
 def test_reduced_select_rejects_sparse(tmp_path, capsys):
     rh = complete_reduced(4, 2)
-    data = json.loads(serialize_reduced_json(rh))
+    data = loads(serialize_reduced_json(rh))
     del data["constituents"]["0,1,2"]
     path = write(tmp_path, "sparse.json", json.dumps(data))
     code, _, err = run(capsys, "reduced", "select", path, "--mu", "0.5", "--f", "3")
@@ -271,7 +298,7 @@ def test_reduced_verify_rejects_colour_keys_other_than_the_pairs(tmp_path, capsy
     path = write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(5, 2)))
     code, out, _ = run(capsys, "reduced", "select", path, "--mu", "1.0", "--f", "3")
     assert code == 0
-    selection = json.loads(out)["result"]["selection"]
+    selection = loads(out)["result"]["selection"]
     selection[colour] = edit(selection[colour])
     sel_path = write(tmp_path, "sel.json", json.dumps(selection))
     code, out, err = run(capsys, "reduced", "verify", path, "--selection", sel_path)
@@ -283,7 +310,7 @@ def test_reduced_verify_rejects_colour_keys_other_than_the_pairs(tmp_path, capsy
 def test_verify_fact7(capsys):
     code, out, _ = run(capsys, "verify-fact7", "--resolution", "51")
     assert code == 0
-    result = json.loads(out)["result"]
+    result = loads(out)["result"]
     assert result["minimum"] >= -1e-9
     assert abs(result["gap_at_110"]) < 1e-12
 
@@ -291,7 +318,7 @@ def test_verify_fact7(capsys):
 def test_audit_tn(capsys):
     code, out, _ = run(capsys, "audit-tn", "--level", "2", "--mode", "exact")
     assert code == 0
-    assert json.loads(out)["result"]["violations"] == []
+    assert loads(out)["result"]["violations"] == []
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -308,16 +335,23 @@ def test_audit_tn_rejects_out_of_range(capsys, argv, message):
 
 def test_optimality(capsys):
     code, out, _ = run(capsys, "optimality", "--r", "1", "--n", "3")
-    result = json.loads(out)["result"]
+    result = loads(out)["result"]
     assert result["edges"] == 60
     assert abs(result["eta"] - 2 / 3) < 1e-12
+
+
+@pytest.mark.parametrize("r", ["0", "216"])
+def test_optimality_rejects_depth_beyond_float_range(capsys, r):
+    code, out, err = run(capsys, "optimality", "--r", r, "--n", "216")
+    assert code == 2 and out == ""
+    assert err == "error: need 0 <= r <= n <= 215\n"
 
 
 def test_supersat(tmp_path, capsys):
     path = write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")
     code, out, _ = run(capsys, "supersat", "--file", path, "--nmax", "2")
     assert code == 0
-    entries = json.loads(out)["result"]["entries"]
+    entries = loads(out)["result"]["entries"]
     assert entries[0]["hom"] == 6 and entries[1]["hom"] == 180
 
 
@@ -340,7 +374,7 @@ def test_hom_count_and_embed(tmp_path, capsys):
     c5 = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
     code, out, _ = run(capsys, "hom-count", edge, c5)
     assert code == 0
-    assert json.loads(out)["result"]["count"] == 24
+    assert loads(out)["result"]["count"] == 24
     code, out, _ = run(capsys, "embed", edge, c5)
     assert code == 0
     code, out, _ = run(capsys, "embed", c5, edge)
@@ -350,7 +384,7 @@ def test_hom_count_and_embed(tmp_path, capsys):
 def test_reports_embed_config_and_seed(tmp_path, capsys):
     path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
     code, out, _ = run(capsys, "decide-pi1", path, "--seed", "99")
-    payload = json.loads(out)
+    payload = loads(out)
     assert payload["config"]["seed"] == 99
     assert payload["config"]["threads"] == 1
 
@@ -368,7 +402,7 @@ def test_threads_flag_does_not_change_output(tmp_path, capsys):
     path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
     _, out1, _ = run(capsys, "decide-pi1", path)
     _, out2, _ = run(capsys, "--threads", "4", "decide-pi1", path)
-    assert json.loads(out1)["result"] == json.loads(out2)["result"]
+    assert loads(out1)["result"] == loads(out2)["result"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

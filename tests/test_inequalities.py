@@ -161,8 +161,16 @@ def test_slice_ratio_closed_form():
 
 
 def test_slice_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        binary_prefix_slice(3, 2)
+    # from depth 216 on, |slice|**3 no longer fits a float
+    for r, n in [(3, 2), (-1, 2), (0, 216), (216, 216)]:
+        with pytest.raises(ValueError):
+            binary_prefix_slice(r, n)
+
+
+def test_slice_reaches_its_depth_limit():
+    n = inequalities.SLICE_DEPTH_LIMIT
+    for r in range(n + 1):
+        assert isclose(binary_prefix_slice(r, n).ratio, 1 - 9.0 ** -(n - r), rel_tol=1e-9)
 
 
 # --- supersaturation ------------------------------------------------------------------
