@@ -58,6 +58,8 @@ class PairColouring:
     colours: dict[Face, int]
 
     def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"need uniformity k >= 2, got k={self.k}")
         want = comb(self.n, self.k - 1)
         if len(self.colours) != want:
             raise ValueError(f"colouring is not total: {len(self.colours)} of {want} subsets")
@@ -101,21 +103,27 @@ def find_rainbow_ordering(pattern: Hypergraph) -> Optional[ShadowColouring]:
     """Search the vertex orderings for a conflict-free forced colouring.
 
     Backtracking over ordering prefixes that fixes each face colour as soon
-    as the prefix decides it:
+    as the prefix decides it, and rejects a prefix as soon as one of its
+    face colours is too low to be reached:
 
     - placing v gives the face e - v of each edge e containing v the colour
       "number of e's vertices placed so far", because face ell belongs to
       the edge's ell-th vertex by position;
-    - once k-1 vertices of e are placed, the unplaced one must come last,
-      so the face that drops it gets colour k at that point.
+    - once c vertices of e are placed, each unplaced x of e comes after all
+      of them, so the face e - x must end up with a colour above c.  If it
+      already has colour c or less, the prefix has no completion.  At
+      c = k-1 this says the face dropping the last vertex must have colour
+      k or none yet.
 
     A face f is live while some edge f + x still has x unplaced; no other
     face can receive a colour again.  A failed prefix is remembered under
     its placed set and the colours of its live faces, and a later prefix
     reaching the same state is skipped, since it has the same completions.
-    Vertices are tried in ascending index, which makes the returned
-    ordering the lexicographically least witness.  The search is still
-    exponential in the worst case.
+    The rank bound keeps those keys valid: it reads only the placed set and
+    faces that wait for an unplaced vertex, which are live.  It drops only
+    prefixes that have no completion, and vertices are tried in ascending
+    index, so the returned ordering is still the lexicographically least
+    witness.  The search is still exponential in the worst case.
     """
     if pattern.k < 3:
         raise ValueError("requires uniformity k >= 3")
@@ -127,19 +135,21 @@ def find_rainbow_ordering(pattern: Hypergraph) -> Optional[ShadowColouring]:
     field = (1 << width) - 1
     shift_of: dict[Face, int] = {}
     waits_for: dict[int, int] = {}  # face shift -> the x with face + x an edge
-    edge_drops: list[dict[int, int]] = []  # vertex bit -> shift of the face dropping it
+    edge_drops: list[list[tuple[int, int]]] = []  # (vertex bit, shift of the face dropping it)
     for e in pattern.edges:
-        drops = {1 << x: shift_of.setdefault(_face_dropping(e, x), width * len(shift_of)) for x in e}
-        for bit, s in drops.items():
+        drops = [(1 << x, shift_of.setdefault(e[:i] + e[i + 1:], width * len(shift_of)))
+                 for i, x in enumerate(e)]
+        for bit, s in drops:
             waits_for[s] = waits_for.get(s, 0) | bit
         edge_drops.append(drops)
     # For each vertex v and edge e containing v: e's vertex mask, the shift
     # of the face dropping v, e's drops, and the vertices that face waits
     # for (it dies once all of them are placed).
-    incident: list[list[tuple[int, int, dict[int, int], int]]] = [[] for _ in range(n)]
+    incident: list[list[tuple[int, int, list[tuple[int, int]], int]]] = [[] for _ in range(n)]
     for drops in edge_drops:
-        for bit, s in drops.items():
-            incident[bit.bit_length() - 1].append((sum(drops), s, drops, waits_for[s]))
+        emask = sum(bit for bit, _ in drops)
+        for bit, s in drops:
+            incident[bit.bit_length() - 1].append((emask, s, drops, waits_for[s]))
     full = (1 << n) - 1
     failed: set[tuple[int, int]] = set()
     order: list[int] = []
@@ -154,19 +164,19 @@ def find_rainbow_ordering(pattern: Hypergraph) -> Optional[ShadowColouring]:
             new = code
             for emask, s, drops, waits in incident[v]:
                 c = (emask & now).bit_count()
-                if c < k:  # at c == k the face got colour k one step earlier
-                    got = new >> s & field
-                    if got and got != c:
-                        break
-                    new |= c << s
-                if c == k - 1:
-                    t = drops[emask & ~now]
-                    got = new >> t & field
-                    if got and got != k:
-                        break
-                    new |= k << t
+                got = new >> s & field
+                if got and got != c:
+                    break
+                new |= c << s
                 if not waits & ~now:
                     new &= ~(field << s)
+                if c < k:  # the rank bound on the faces dropping e's unplaced vertices
+                    for bit, t in drops:
+                        if not bit & now and 0 < new >> t & field <= c:
+                            break
+                    else:
+                        continue
+                    break
             else:
                 key = (now, new)
                 if key in failed:
@@ -239,6 +249,8 @@ def build_pattern_host(phi: PairColouring) -> Hypergraph:
 
 def random_pair_colouring(n: int, k: int, seed: int) -> PairColouring:
     """Uniform independent colours on all (k-1)-subsets; fixed by the seed."""
+    if k < 2:
+        raise ValueError(f"need uniformity k >= 2, got k={k}")
     if n < k - 1:
         raise ValueError(f"need n >= k-1, got n={n}, k={k}")
     rng = derive_rng(seed, f"pair-colouring/{k}/{n}")

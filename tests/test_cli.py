@@ -110,6 +110,21 @@ def test_generate_hphi_rejects_a_face_with_a_repeated_vertex(tmp_path, capsys):
     assert err.splitlines() == ["error: line 4: repeated vertex within a subset"]
 
 
+@pytest.mark.parametrize("k", ["1", "0", "-1"])
+def test_generate_hphi_rejects_uniformity_below_two(capsys, k):
+    code, out, err = run(capsys, "generate", "hphi", "3", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: need uniformity k >= 2, got k={k}"]
+
+
+def test_generate_hphi_k2(capsys):
+    code, out, _ = run(capsys, "generate", "hphi", "6", "--k", "2", "--seed", "3")
+    assert code == 0
+    host = parse_hypergraph(out)
+    assert host.k == 2 and host.n == 6
+
+
 def test_generate_hphi_k4_flags_the_generalization(tmp_path, capsys):
     colouring = write(tmp_path, "phi4.txt", "4 4\n1 2 3 1\n0 2 3 2\n0 1 3 3\n0 1 2 4\n")
     code, out, _ = run(capsys, "generate", "hphi", "4", "--k", "4", "--colouring", colouring)

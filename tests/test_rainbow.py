@@ -252,6 +252,15 @@ def test_pattern_host_requires_total_colouring():
         PairColouring(3, 4, {(0, 1): 1})
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_pair_colourings_reject_uniformity_below_two(k):
+    # k = 1 would colour the one empty face; k <= 0 has no subsets to colour
+    with pytest.raises(ValueError, match=f"^need uniformity k >= 2, got k={k}$"):
+        PairColouring(k, 3, {(): 1})
+    with pytest.raises(ValueError, match=f"^need uniformity k >= 2, got k={k}$"):
+        random_pair_colouring(3, k, 0)
+
+
 def test_random_pair_colouring_is_deterministic_and_total():
     a = random_pair_colouring(6, 3, 42)
     b = random_pair_colouring(6, 3, 42)
