@@ -144,8 +144,8 @@ def cmd_sweep(args) -> int:
     from . import ternary
 
     f = args.f
-    if f > 5:
-        raise ValueError("sweep is limited to f <= 5")
+    if not 0 <= f <= 5:
+        raise ValueError(f"sweep needs 0 <= f <= 5, got f={f}")
     counts = ternary.classify_patterns(f)
     consistent = counts["frequent_not_orderable"] == 0
     result = {"f": f, "patterns": sum(counts.values()), "classes": counts,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hyperdense
-from hyperdense import parse_hypergraph, rainbow
+from hyperdense import inequalities, parse_hypergraph, rainbow
 from hyperdense.cli import _emit, main
 from hyperdense.reduced import complete_reduced, serialize_reduced_json
 
@@ -242,6 +242,13 @@ def test_sweep_f4_classes(capsys):
     assert result["classes"]["frequent_not_orderable"] == 0
 
 
+@pytest.mark.parametrize("f", [-1, 6])
+def test_sweep_rejects_out_of_range(capsys, f):
+    code, out, err = run(capsys, "sweep", "--", str(f))
+    assert code == 2 and out == ""
+    assert err == f"error: sweep needs 0 <= f <= 5, got f={f}\n"
+
+
 def test_reduced_select_and_verify(tmp_path, capsys):
     rh = complete_reduced(5, 2)
     path = write(tmp_path, "reduced.json", serialize_reduced_json(rh))
@@ -328,6 +335,13 @@ def test_verify_fact7(capsys):
     result = loads(out)["result"]
     assert result["minimum"] >= -1e-9
     assert abs(result["gap_at_110"]) < 1e-12
+
+
+def test_verify_fact7_rejects_resolution_above_limit(capsys):
+    limit = inequalities.FACT7_RESOLUTION_LIMIT
+    code, out, err = run(capsys, "verify-fact7", "--resolution", str(limit + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: resolution is limited to <= {limit}\n"
 
 
 def test_audit_tn(capsys):

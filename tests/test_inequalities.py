@@ -1,5 +1,6 @@
 from math import isclose
 
+import numpy as np
 import pytest
 
 from hyperdense import (
@@ -17,6 +18,7 @@ from hyperdense import (
 from hyperdense import inequalities
 from hyperdense.inequalities import density_floor
 from hyperdense.ternary import kary_hom_counts, vector_of
+from inequality_oracles import grid_gaps, grid_scan
 
 
 # --- the exponent constants ----------------------------------------------------
@@ -62,6 +64,36 @@ def test_scan_floor_across_resolutions():
 def test_scan_rejects_degenerate_resolution():
     with pytest.raises(ValueError):
         scan_inequality(1)
+    with pytest.raises(ValueError, match=str(inequalities.FACT7_RESOLUTION_LIMIT)):
+        scan_inequality(inequalities.FACT7_RESOLUTION_LIMIT + 1)
+
+
+# The pruned scan against the full-grid scan it replaced.  Resolutions
+# 127-130 and 257 sit on the 64-, 32- and 2-wide block edges.
+@pytest.mark.parametrize("resolution", [*range(2, 71), 127, 128, 129, 130, 201, 257])
+def test_scan_matches_full_grid_scan(resolution):
+    assert scan_inequality(resolution) == grid_scan(resolution)
+
+
+@pytest.mark.parametrize("resolution", [7, 33, 65, 101])
+def test_pruning_drops_only_positive_gaps_and_keeps_exact_values(resolution):
+    grid = np.linspace(0.0, 1.0, resolution)
+    i, j, k = inequalities._candidate_points(grid)
+    full = grid_gaps(resolution)
+    kept = np.zeros(full.shape, dtype=bool)
+    kept[i, j, k] = True
+    assert kept.sum() == len(i)
+    assert (full[~kept] > 0.0).all()
+    kept_gaps = inequalities._point_gaps(grid, i, j, k)
+    assert np.array_equal(kept_gaps.view(np.int64), full[i, j, k].view(np.int64))
+
+
+def test_pruning_keeps_few_points_at_bench_resolution():
+    """Pins the pruning's work, which no equality test sees: the side-2
+    blocks that pass the box bound hold 94,721 of the 401**3 points."""
+    i, _, _ = inequalities._candidate_points(np.linspace(0.0, 1.0, 401))
+    assert len(i) == 94_721
+    assert len(i) < 0.002 * 401**3
 
 
 # --- the per-subset edge floor -----------------------------------------------------
