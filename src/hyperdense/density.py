@@ -10,18 +10,19 @@ Three notions are audited:
            subsets with |U| >= ceil(eta * n).
 
 Exact mode reads one numpy table of e(U) for every subset U (vertex and
-profile) or, per X, the codegrees of every Y at once (triple).  Heuristic
-mode runs, for vertex and profile, one steepest single-flip descent from
-seeded random starts: each move flips the vertex that lowers the objective
-(slack, or relative density) most, by more than 1e-12, and the lowest such
-vertex on ties; the profile descent starts at or above the size floor
-max(ceil(eta * n), k) and never removes a vertex below it.  The descent
-counts each vertex's inside degree once and keeps it up to date per flip,
-touching only the edges through the flipped vertex u, so a move costs
-O(n + (k-1) * deg(u)).  The triple notion uses alternating closed-form
-coordinate descent.  A "violated" verdict always carries a certificate
-that re-verifies with negative slack; heuristic mode never claims
-"satisfied", only "unresolved".
+profile; int16 counts below 2**15 edges), or the codegrees of a block of
+about 2**14 (X, Y) pairs at once, a few X rows against every Y (triple).
+Heuristic mode runs, for vertex and profile, one steepest single-flip
+descent from seeded random starts: each move flips the vertex that lowers
+the objective (slack, or relative density) most, by more than 1e-12, and
+the lowest such vertex on ties; the profile descent starts at or above
+the size floor max(ceil(eta * n), k) and never removes a vertex below
+it.  The descent counts each vertex's inside degree once and keeps it up
+to date per flip, touching only the edges through the flipped vertex u,
+so a move costs O(n + (k-1) * deg(u)).  The triple notion uses
+alternating closed-form coordinate descent.  A "violated" verdict always
+carries a certificate that re-verifies with negative slack; heuristic
+mode never claims "satisfied", only "unresolved".
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ if TYPE_CHECKING:
 
 VERTEX_EXACT_LIMIT = 24
 TRIPLE_EXACT_LIMIT = 10
+# (X, Y) cells per block of the exact triple audit: each array stays below 1 MiB at n <= 10
+_TRIPLE_BLOCK = 1 << 14
 
 # guard against float artifacts in ceil(eta * n), e.g. (2/3)*9 -> 6.000000000000001
 _CEIL_GUARD = 1e-9
@@ -108,9 +111,6 @@ class ProfileReport:
     entries: list[ProfileEntry]
     mode: str
     stats: dict = field(default_factory=dict)
-
-    def as_map(self) -> dict[float, Optional[float]]:
-        return {e.eta: e.density for e in self.entries}
 
     def to_dict(self) -> dict:
         return {
@@ -181,16 +181,19 @@ def _fill_subset_counts(out: np.ndarray, k: int, edges: Sequence[tuple[int, ...]
 
 def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]:
     """m(s) = min e(U) over |U| = s for s = 0..n, and a function giving the
-    masks that attain m(s).  The tables take 5 * 2**n bytes (int32, uint8)."""
+    masks that attain m(s).  No count exceeds the edge count, so the counts
+    are int16 below 2**15 edges and int32 from there: the tables take 3 or
+    5 * 2**n bytes with the uint8 sizes."""
     # imported here, not at the top: only the exact audits need numpy, and
     # commands that run none of them start without loading it
     import numpy as np
 
-    counts = np.empty(1 << h.n, dtype=np.int32)
+    dtype = np.int16 if h.edge_count < 1 << 15 else np.int32
+    counts = np.empty(1 << h.n, dtype=dtype)
     _fill_subset_counts(counts, h.k, h.edges)
     sizes = np.empty(1 << h.n, dtype=np.uint8)
     _fill_subset_counts(sizes, 1, [(v,) for v in range(h.n)])
-    minima = np.full(h.n + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    minima = np.full(h.n + 1, np.iinfo(dtype).max, dtype=dtype)
     np.minimum.at(minima, sizes, counts)
     return minima.tolist(), lambda s: np.flatnonzero((sizes == s) & (counts == minima[s]))
 
@@ -382,36 +385,58 @@ def triple_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
 def _triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     """Enumerate (X, Y) pairs; for fixed X, Y the optimal Z has a closed
     form (take every vertex whose codegree is below d|X||Y|), so this
-    equals the full minimum over all 8**n triples.  For each X, the
-    codegrees of every Y at once are Y's membership rows times X's links."""
+    equals the full minimum over all 8**n triples.
+
+    The pairs are taken a block of X rows at a time, about _TRIPLE_BLOCK
+    cells per block.  xy[w][X, y] counts the x in X with xyw an edge, so
+    xy[w][block] times the Y membership rows is w's codegree for every
+    pair of the block, a float matmul of small integers and so exact.
+    Each w's gap, clipped at 0, is added into the block's total in w order,
+    one vertex at a time: a pairwise sum would change the last bit.
+    The first minimum of a block is the least X and then the first Y in
+    Gray order, and only a strictly smaller block minimum replaces it."""
     import numpy as np
 
     n = h.n
     penalty = query.eta * n ** 3
-    # row j is the j-th Gray code: argmin's first minimum is the first in Gray order
+    # column j is the j-th Gray code: argmin's first minimum is the first in Gray order
     ys = np.arange(1 << n)
     ys ^= ys >> 1
-    members = ys[:, None] >> np.arange(n) & 1
+    members = (ys[:, None] >> np.arange(n) & 1).astype(np.float64)
     ysize = members.sum(axis=1)
-    link = np.zeros((n, n, n), dtype=np.int64)  # link[x, y, w] = 1 when xyw is an edge
+    xmembers = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.float64)
+    xweight = query.d * xmembers.sum(axis=1)  # d|X|, one float product per X
+    link = np.zeros((n, n, n))  # link[x, y, w] = 1 when xyw is an edge
     for e in h.edges:
         for x, y, w in permutations(e):
-            link[x, y, w] = 1
+            link[x, y, w] = 1.0
+    xy = np.empty((n, 1 << n, n))
+    for w in range(n):
+        np.matmul(xmembers, link[:, :, w], out=xy[w])
+    members_t = np.ascontiguousarray(members.T)
+    rows = max(1, _TRIPLE_BLOCK >> n)
     best = penalty  # X = Y = Z = empty
-    best_cert = ((), (), ())
-    for xmask in range(1 << n):
-        xs = _decode(xmask, n)
-        codegree = members @ link[list(xs)].sum(axis=0)  # [j, w] = #{(x, y) in X*Y_j : xyw an edge}
-        gap = codegree - query.d * len(xs) * ysize[:, None]
-        # summed column by column, in w order: a pairwise sum would change the last bit
-        total = np.zeros(1 << n)
+    best_pair = None
+    for start in range(0, 1 << n, rows):
+        block = slice(start, start + rows)
+        weight = xweight[block, None] * ysize
+        total = np.zeros_like(weight)
         for w in range(n):
-            total += np.minimum(gap[:, w], 0.0)
-        obj = total + penalty
-        j = int(np.argmin(obj))
-        if obj[j] < best:
-            best = float(obj[j])
-            best_cert = (xs, _decode(int(ys[j]), n), tuple(np.flatnonzero(gap[j] < 0).tolist()))
+            gap = xy[w, block] @ members_t
+            gap -= weight
+            total += np.minimum(gap, 0.0, out=gap)
+        total += penalty
+        cell = int(np.argmin(total))
+        if total.flat[cell] < best:
+            best = float(total.flat[cell])
+            row, j = divmod(cell, 1 << n)
+            best_pair = (start + row, j)
+    if best_pair is None:
+        best_cert = ((), (), ())
+    else:
+        xmask, j = best_pair
+        gap = xy[:, xmask] @ members[j] - xweight[xmask] * ysize[j]
+        best_cert = (_decode(xmask, n), _decode(int(ys[j]), n), tuple(np.flatnonzero(gap < 0).tolist()))
     X, Y, Z = best_cert
     return _exact_report(
         "triple", query, best, {"X": list(X), "Y": list(Y), "Z": list(Z)},

@@ -92,9 +92,9 @@ def _candidate_points(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     size = len(grid)
     scale = 3.0 ** (3.0 - TAU)
-    children = np.indices((2, 2, 2)).reshape(3, 8, 1)
+    children = np.indices((2, 2, 2), dtype=np.int32).reshape(3, 8, 1)
     side = _BLOCK_SIDE
-    blocks = np.indices((-(-size // side),) * 3).reshape(3, -1)
+    blocks = np.indices((-(-size // side),) * 3, dtype=np.int32).reshape(3, -1)
     while side > 1:
         starts = np.arange(0, size, side)
         lo, hi = grid[starts], grid[np.minimum(starts + side, size) - 1]
@@ -244,12 +244,13 @@ def audit_kary_subsets(
     floors = np.array([density_floor(size, level) for size in range(n + 1)])
     rng = np.random.default_rng(subseed(seed, f"subset-audit/{level}"))
     for start in range(0, samples, _SAMPLE_SLICE):
-        masks = rng.integers(0, 1 << n, size=min(_SAMPLE_SLICE, samples - start), dtype=np.int64)
-        counts, sizes = _split_counts(masks, level)
-        for idx in np.nonzero(counts < floors[sizes] - _FLOAT_TOLERANCE)[0]:
-            mask, size = int(masks[idx]), int(sizes[idx])
-            violations.append({"subset": [v for v in range(n) if mask >> v & 1], "size": size,
-                               "edges": int(counts[idx]), "bound": float(floors[size])})
+        draw = rng.integers(0, 1 << n, size=min(_SAMPLE_SLICE, samples - start), dtype=np.int64)
+        for masks in np.array_split(draw, 2):  # half a draw at a time keeps the count tables small
+            counts, sizes = _split_counts(masks, level)
+            for idx in np.nonzero(counts < floors[sizes] - _FLOAT_TOLERANCE)[0]:
+                mask, size = int(masks[idx]), int(sizes[idx])
+                violations.append({"subset": [v for v in range(n) if mask >> v & 1], "size": size,
+                                   "edges": int(counts[idx]), "bound": float(floors[size])})
     return SubsetAuditReport(level, "sampled", samples, violations, seed=seed)
 
 

@@ -27,6 +27,12 @@ from .seeding import derive_rng
 
 COLOUR_NAMES = {1: "green", 2: "blue", 3: "red"}
 
+# A colouring of [n] has C(n, k-1) colours and its pattern host is chosen
+# among C(n, k) k-sets.  At these limits one `generate hphi` takes up to
+# about 10 s and 500 MB (n = 4472 at k = 2, n = 392 at k = 3, n = 43 at k = 6).
+PAIR_COLOURING_LIMIT = 10**6
+PATTERN_HOST_LIMIT = 10**7
+
 
 @dataclass(frozen=True)
 class ShadowColouring:
@@ -247,12 +253,36 @@ def build_pattern_host(phi: PairColouring) -> Hypergraph:
     return Hypergraph(k, phi.n, tuple(edges))
 
 
+def _binomial_above(n: int, r: int, limit: int) -> bool:
+    """Whether C(n, r) > limit.  C(n, i) >= 2**i for i <= n/2, so the
+    running product passes the limit within about log2(limit) steps,
+    where math.comb would take seconds on a large n and r."""
+    c = 1
+    for i in range(min(r, n - r)):
+        c = c * (n - i) // (i + 1)  # C(n, i + 1)
+        if c > limit:
+            return True
+    return False
+
+
+def _check_colouring_size(n: int, k: int) -> None:
+    """Reject, before anything is built, a colouring with more vertices or
+    colours, or a pattern host with more candidate edges, than the limits
+    allow.  The vertex bound matters only at k - 1 = n: one face of n."""
+    if (n > PAIR_COLOURING_LIMIT or _binomial_above(n, k - 1, PAIR_COLOURING_LIMIT)
+            or _binomial_above(n, k, PATTERN_HOST_LIMIT)):
+        raise ValueError(f"pattern hosts are limited to n <= {PAIR_COLOURING_LIMIT}, C(n, k-1) <= "
+                         f"{PAIR_COLOURING_LIMIT} colours and C(n, k) <= {PATTERN_HOST_LIMIT} candidate edges, "
+                         f"got n={n}, k={k}")
+
+
 def random_pair_colouring(n: int, k: int, seed: int) -> PairColouring:
     """Uniform independent colours on all (k-1)-subsets; fixed by the seed."""
     if k < 2:
         raise ValueError(f"need uniformity k >= 2, got k={k}")
     if n < k - 1:
         raise ValueError(f"need n >= k-1, got n={n}, k={k}")
+    _check_colouring_size(n, k)
     rng = derive_rng(seed, f"pair-colouring/{k}/{n}")
     colours = {face: rng.randint(1, k) for face in combinations(range(n), k - 1)}
     return PairColouring(k, n, colours)
@@ -288,6 +318,10 @@ def parse_pair_colouring(text: str) -> PairColouring:
                 raise ValueError(f"line {lineno}: header fields must be integers")
             if k < 2 or n < 0:
                 raise ValueError(f"line {lineno}: header out of range")
+            try:
+                _check_colouring_size(n, k)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             continue
         if len(parts) != k:
             raise ValueError(f"line {lineno}: expected {k - 1} vertices and a colour")

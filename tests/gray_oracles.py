@@ -1,13 +1,16 @@
-"""Gray-code reference scans for the exact density audits.
+"""Reference scans for the exact density audits.
 
-These are the loop implementations the numpy subset tables in
+The Gray-code scans are the loop implementations the numpy subset tables in
 ``hyperdense.density`` replaced.  They walk every subset in Gray-code
 order, updating edge counts incrementally, and break ties the same way the
 library does; the property tests require the two to agree exactly.
+``triple_exact_by_x`` is the numpy three-set audit that took one X at a
+time, the one the blocks of X rows replaced.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import comb, inf
 from typing import Sequence
 
@@ -18,6 +21,7 @@ from hyperdense.density import (
     ProfileReport,
     _decode,
     _edge_masks_without,
+    _exact_report,
     size_floor,
 )
 from hyperdense.hypergraphs import Hypergraph
@@ -109,6 +113,46 @@ def triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
         certificate={"X": list(X), "Y": list(Y), "Z": list(Z)} if violated else None,
         slack=best,
         stats={"mode": "exact", "pairs_examined": 1 << (2 * n), "argmin": [list(X), list(Y), list(Z)]},
+    )
+
+
+def triple_exact_by_x(h: Hypergraph, query: DensityQuery) -> DensityReport:
+    """Enumerate (X, Y) pairs; for fixed X, Y the optimal Z has a closed
+    form (take every vertex whose codegree is below d|X||Y|), so this
+    equals the full minimum over all 8**n triples.  For each X, the
+    codegrees of every Y at once are Y's membership rows times X's links."""
+    import numpy as np
+
+    n = h.n
+    penalty = query.eta * n ** 3
+    # row j is the j-th Gray code: argmin's first minimum is the first in Gray order
+    ys = np.arange(1 << n)
+    ys ^= ys >> 1
+    members = ys[:, None] >> np.arange(n) & 1
+    ysize = members.sum(axis=1)
+    link = np.zeros((n, n, n), dtype=np.int64)  # link[x, y, w] = 1 when xyw is an edge
+    for e in h.edges:
+        for x, y, w in permutations(e):
+            link[x, y, w] = 1
+    best = penalty  # X = Y = Z = empty
+    best_cert = ((), (), ())
+    for xmask in range(1 << n):
+        xs = _decode(xmask, n)
+        codegree = members @ link[list(xs)].sum(axis=0)  # [j, w] = #{(x, y) in X*Y_j : xyw an edge}
+        gap = codegree - query.d * len(xs) * ysize[:, None]
+        # summed column by column, in w order: a pairwise sum would change the last bit
+        total = np.zeros(1 << n)
+        for w in range(n):
+            total += np.minimum(gap[:, w], 0.0)
+        obj = total + penalty
+        j = int(np.argmin(obj))
+        if obj[j] < best:
+            best = float(obj[j])
+            best_cert = (xs, _decode(int(ys[j]), n), tuple(np.flatnonzero(gap[j] < 0).tolist()))
+    X, Y, Z = best_cert
+    return _exact_report(
+        "triple", query, best, {"X": list(X), "Y": list(Y), "Z": list(Z)},
+        {"pairs_examined": 1 << (2 * n), "argmin": [list(X), list(Y), list(Z)]},
     )
 
 

@@ -118,6 +118,26 @@ def test_generate_hphi_rejects_uniformity_below_two(capsys, k):
     assert err.splitlines() == [f"error: need uniformity k >= 2, got k={k}"]
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["393"], ""),
+    (["44", "--k", "6"], ""),
+    (["1000000000", "--colouring", "huge.txt"], "line 1: "),
+])
+def test_generate_hphi_rejects_sizes_past_the_limits(tmp_path, capsys, argv, line):
+    # the colouring file is a header alone: over the limit, nothing is read or built
+    write(tmp_path, "huge.txt", "3 1000000000\n")
+    argv = [str(tmp_path / a) if a == "huge.txt" else a for a in argv]
+    code, out, err = run(capsys, "generate", "hphi", *argv)
+    n, k = argv[0], argv[2] if argv[1:2] == ["--k"] else "3"
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {line}pattern hosts are limited to n <= {rainbow.PAIR_COLOURING_LIMIT}, "
+        f"C(n, k-1) <= {rainbow.PAIR_COLOURING_LIMIT} colours and C(n, k) <= {rainbow.PATTERN_HOST_LIMIT} "
+        f"candidate edges, got n={n}, k={k}"
+    ]
+
+
 def test_generate_hphi_k2(capsys):
     code, out, _ = run(capsys, "generate", "hphi", "6", "--k", "2", "--seed", "3")
     assert code == 0

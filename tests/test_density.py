@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, islice
 from math import comb, isclose
 from pathlib import Path
 
@@ -208,6 +208,21 @@ def test_profile_ternary_depth2_golden_values():
     assert induced_edge_count(t2, U) >= floor
     # independent recomputation of the certificate's density
     assert isclose(subset_relative_density(t2, U), two_thirds.density)
+
+
+# The subset table holds int16 counts below 2**15 edges and int32 from there.
+# The complete 6-graph on 20 vertices has 38,760 edges; its first 2**15 - 1
+# and 2**15 in lexicographic order miss only 6-sets avoiding vertex 0, so at
+# d = 1 the whole vertex set attains the least slack.
+@pytest.mark.parametrize("edges", [(1 << 15) - 1, 1 << 15, comb(20, 6)])
+def test_subset_table_counts_every_edge_on_both_sides_of_int16(edges):
+    h = Hypergraph(6, 20, tuple(islice(combinations(range(20), 6), edges)))
+    minima, _ = density._size_minima(h)
+    assert minima[20] == edges
+    report = vertex_density_check(h, DensityQuery(d=1.0, eta=1e-4))
+    assert report.verdict == "satisfied"
+    assert report.slack == edges - comb(20, 6) + 1e-4 * 20**6
+    assert density_profile(h, [1.0]).entries[0].density == edges / comb(20, 6)
 
 
 def test_profile_brute_force_agreement():

@@ -2,7 +2,8 @@
 
 The exact audits are checked against Gray-code scans, and the vertex and
 profile heuristics against their two original hand-written descents.
-Reports must agree byte for byte: slack, verdict, certificate, argmin,
+The block-wise three-set audit is also checked against the per-X scan it
+replaced.  Reports must agree byte for byte: slack, verdict, certificate, argmin,
 stats and every profile entry.  Empty and complete hosts and d in {0, 1}
 are drawn often, because they tie many subsets and exercise the
 tie-breaking rules.  The vertex and triple paths are called below the
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gray_oracles import profile_exact, triple_exact, vertex_exact
+from gray_oracles import profile_exact, triple_exact, triple_exact_by_x, vertex_exact
 from heuristic_oracles import profile_heuristic, vertex_heuristic
-from hyperdense import DensityQuery, Hypergraph, density_profile
+from hyperdense import DensityQuery, Hypergraph, density, density_profile
 from hyperdense.density import _codegrees, _triple_exact, _vertex_exact, _vertex_heuristic, ordered_triple_count
 from hyperdense.rainbow import build_pattern_host, random_pair_colouring
 from hyperdense.seeding import derive_rng
@@ -73,6 +74,40 @@ def test_profile_exact_matches_gray_scan(h, grid):
 def test_triple_exact_matches_gray_scan(h, d, eta):
     query = DensityQuery(d=d, eta=eta)
     assert same(_triple_exact(h, query), triple_exact(h, query))
+
+
+@ORACLE_SETTINGS
+@given(hosts(max_n=6, uniformities=(3,)), densities, etas)
+def test_triple_exact_matches_gray_scan_one_x_per_block(h, d, eta):
+    # one X row per block: below n = 8 the whole scan is otherwise one block
+    query = DensityQuery(d=d, eta=eta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_TRIPLE_BLOCK", 1)
+        report = _triple_exact(h, query)
+    assert same(report, triple_exact(h, query))
+
+
+def triple_host(kind: str, n: int) -> Hypergraph:
+    if kind == "empty":
+        return Hypergraph(3, n, ())
+    if kind == "complete":
+        return Hypergraph(3, n, tuple(combinations(range(n), 3)))
+    return random_host(3, n, 0.4, n)
+
+
+# From n = 8 on the X rows span several blocks (4 at n = 8, 64 at n = 10).
+# On the complete host d = 0.25, 0.5 and 0.75 tie the minimum across many
+# blocks (57 of 64 at n = 10, d = 0.5), so the first minimiser must survive
+# every later tie; d = 0 ties every pair at the empty triple's slack.
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+@pytest.mark.parametrize("kind", ["empty", "complete", "random"])
+def test_triple_exact_blocks_match_per_x_scan(kind, n):
+    h = triple_host(kind, n)
+    rng = derive_rng(n, f"triple-blocks/{kind}")
+    ds = (0.0, 0.25, 0.5, 0.75, 1.0) if kind == "complete" else (0.0, 1.0, rng.random())
+    for d in ds:
+        query = DensityQuery(d=d, eta=0.001)
+        assert same(_triple_exact(h, query), triple_exact_by_x(h, query))
 
 
 @ORACLE_SETTINGS

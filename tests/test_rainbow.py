@@ -1,4 +1,5 @@
 from itertools import combinations, permutations, product
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from hyperdense import (
     shadow,
     verify_rainbow_colouring,
 )
+from hyperdense import rainbow
 from hyperdense.rainbow import (
     COLOUR_NAMES,
     ShadowColouring,
@@ -259,6 +261,34 @@ def test_pair_colourings_reject_uniformity_below_two(k):
         PairColouring(k, 3, {(): 1})
     with pytest.raises(ValueError, match=f"^need uniformity k >= 2, got k={k}$"):
         random_pair_colouring(3, k, 0)
+
+
+# (n, k) at each limit, then one past it: C(n, k) candidate edges at k = 2 and
+# 3, C(n, k-1) colours at k = 6, and the vertex bound at k - 1 = n
+LIMIT_CASES = [((4472, 2), (4473, 2)), ((392, 3), (393, 3)), ((43, 6), (44, 6)),
+               ((10**6, 10**6 + 1), (10**6 + 1, 10**6 + 2))]
+
+
+@pytest.mark.parametrize("inside, past", LIMIT_CASES)
+def test_colouring_size_limits_reject_before_building(monkeypatch, inside, past):
+    rainbow._check_colouring_size(*inside)
+    monkeypatch.setattr(rainbow, "derive_rng", None)  # a draw past the check would raise TypeError
+    with pytest.raises(ValueError, match=f"limited to n <= {rainbow.PAIR_COLOURING_LIMIT}, "):
+        random_pair_colouring(*past, 0)
+    n, k = past
+    with pytest.raises(ValueError, match=f"^line 2: .* C\\(n, k\\) <= {rainbow.PATTERN_HOST_LIMIT} "):
+        parse_pair_colouring(f"# header only\n{k} {n}\n")
+
+
+@pytest.mark.parametrize("limit", ["PAIR_COLOURING_LIMIT", "PATTERN_HOST_LIMIT"])
+def test_colouring_size_limits_are_inclusive(monkeypatch, limit):
+    n, k = 10, 4  # C(10, 3) = 120 colours, C(10, 4) = 210 candidate edges
+    count = comb(n, k - 1) if limit == "PAIR_COLOURING_LIMIT" else comb(n, k)
+    monkeypatch.setattr(rainbow, limit, count)
+    rainbow._check_colouring_size(n, k)
+    monkeypatch.setattr(rainbow, limit, count - 1)
+    with pytest.raises(ValueError, match="limited to"):
+        rainbow._check_colouring_size(n, k)
 
 
 def test_random_pair_colouring_is_deterministic_and_total():
