@@ -6,8 +6,8 @@ Exit codes: 0 affirmative/satisfied, 1 negative/violated/none,
 Every report embeds the run configuration, including the seed.
 
 Each command imports the modules it runs inside its body, so a cold start
-loads only those (and numpy only where an exact density audit, the cube
-scan or a sampled subset audit needs it).
+loads only those (and numpy only where a density audit, the cube scan or
+a sampled subset audit needs it).
 """
 
 from __future__ import annotations

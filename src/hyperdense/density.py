@@ -12,17 +12,23 @@ Three notions are audited:
 Exact mode reads one numpy table of e(U) for every subset U (vertex and
 profile; int16 counts below 2**15 edges), or the codegrees of a block of
 about 2**14 (X, Y) pairs at once, a few X rows against every Y (triple).
-Heuristic mode runs, for vertex and profile, one steepest single-flip
-descent from seeded random starts: each move flips the vertex that lowers
-the objective (slack, or relative density) most, by more than 1e-12, and
-the lowest such vertex on ties; the profile descent starts at or above
-the size floor max(ceil(eta * n), k) and never removes a vertex below
-it.  The descent counts each vertex's inside degree once and keeps it up
-to date per flip, touching only the edges through the flipped vertex u,
-so a move costs O(n + (k-1) * deg(u)).  The triple notion uses
-alternating closed-form coordinate descent.  A "violated" verdict always
-carries a certificate that re-verifies with negative slack; heuristic
-mode never claims "satisfied", only "unresolved".
+Heuristic mode runs all seeded random restarts in lockstep, one numpy
+column per restart, in blocks of about _RESTART_BLOCK cells (a cell is one
+vertex or incidence entry of one restart).  For vertex and profile it is a
+steepest single-flip descent: each move flips the lowest vertex whose score
+(the change in slack, or the new relative density) beats the best so far by
+more than 1e-12; the profile descent starts at or above the size floor
+max(ceil(eta * n), k) and never removes a vertex below it.  Each column
+keeps its member count per edge and its inside degree per vertex, and a
+move updates only the edges through the flipped vertex.  A column moves to
+its argmin v* when v* beats every earlier score by the same 1e-12, for the
+one-vertex scan then ends at v* too; any other moving column is decided by
+that scan, so the reports are those of one restart at a time, bit for bit.
+The triple notion uses alternating closed-form coordinate descent, counting
+each role's codegree table for all running restarts at once.  Heuristic
+mode takes hosts up to HEURISTIC_HOST_LIMIT vertices with C(n, k) < 2**53.
+A "violated" verdict always carries a certificate that re-verifies with
+negative slack; heuristic mode never claims "satisfied", only "unresolved".
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
 from math import ceil, comb, inf
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .hypergraphs import Hypergraph, induced_edge_count
 from .seeding import derive_rng
@@ -41,8 +47,17 @@ if TYPE_CHECKING:
 
 VERTEX_EXACT_LIMIT = 24
 TRIPLE_EXACT_LIMIT = 10
+# Largest host of the heuristic audits.  At n = 10**4 the default vertex
+# audit of an empty 3-graph (64 restarts of 1000 flips each) takes about
+# 20 s; every step is O(n) per restart.  C(n, k) must also lie below 2**53,
+# so that every count is an exact float and each profile ratio equals the
+# float of int / int.
+HEURISTIC_HOST_LIMIT = 10**4
 # (X, Y) cells per block of the exact triple audit: each array stays below 1 MiB at n <= 10
 _TRIPLE_BLOCK = 1 << 14
+# cells per block of heuristic restarts, a cell being one edge incidence or
+# vertex of one restart; a block's largest arrays hold 1 or 2 bytes a cell
+_RESTART_BLOCK = 1 << 18
 
 # guard against float artifacts in ceil(eta * n), e.g. (2/3)*9 -> 6.000000000000001
 _CEIL_GUARD = 1e-9
@@ -141,14 +156,6 @@ def _edge_masks_without(h: Hypergraph) -> list[list[int]]:
     return out
 
 
-def _flip_pairs(others: list[list[int]]) -> list[list[tuple[int, int]]]:
-    """Per vertex u, a pair (w, rest) for every edge e through u and every w
-    in e - u, rest the mask of e - u - w: while rest lies inside a subset,
-    flipping u adds or removes the edge e from w's inside degree."""
-    return [[(w, om & ~(1 << w)) for om in masks for w in range(om.bit_length()) if om >> w & 1]
-            for masks in others]
-
-
 def _decode(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if mask >> v & 1)
 
@@ -184,7 +191,7 @@ def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]
     masks that attain m(s).  No count exceeds the edge count, so the counts
     are int16 below 2**15 edges and int32 from there: the tables take 3 or
     5 * 2**n bytes with the uint8 sizes."""
-    # imported here, not at the top: only the exact audits need numpy, and
+    # imported here, not at the top: only the audits need numpy, and
     # commands that run none of them start without loading it
     import numpy as np
 
@@ -215,11 +222,19 @@ def _first_in_gray_order(masks: np.ndarray) -> int:
     return int(masks[rank.argmin()])
 
 
+def _check_heuristic_host(h: Hypergraph) -> None:
+    if h.n > HEURISTIC_HOST_LIMIT or comb(h.n, h.k) >= 1 << 53:
+        raise ValueError(f"heuristic mode limited to n <= {HEURISTIC_HOST_LIMIT} and C(n, k) < 2**53, "
+                         f"got n = {h.n}, k = {h.k}")
+
+
 def _audit(h: Hypergraph, query: DensityQuery, limit: int, exact, heuristic) -> DensityReport:
     """Run one audit, then recompute a violated verdict's slack on the
     reference path; an explicit check, so that it also runs under -O."""
     if query.mode == "exact" and h.n > limit:
         raise ValueError(f"exact mode limited to n <= {limit}, got n = {h.n}")
+    if query.mode == "heuristic":
+        _check_heuristic_host(h)
     report = (exact if query.mode == "exact" else heuristic)(h, query)
     if report.verdict == "violated":
         recomputed = verify_density_certificate(h, report)
@@ -264,68 +279,196 @@ def _vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     )
 
 
-def _descend(others: list[list[int]], pairs: list[list[tuple[int, int]]], mask: int, k: int,
-             budget: int, floor: int, score):
-    """Steepest single-vertex-flip descent from mask, over at most budget
-    moves; yields (mask, size, inside) at the start and after every move.
+def _restart_blocks(restarts: int, cells: int) -> Iterator[range]:
+    """range(restarts) in order, cut into blocks of about _RESTART_BLOCK
+    cells, one restart taking cells of them."""
+    rows = max(1, _RESTART_BLOCK // max(1, cells))
+    return (range(r, min(r + rows, restarts)) for r in range(0, restarts, rows))
 
-    A move flips the lowest vertex whose score(inside, size, di, ns) -- di
-    the change in inside edges, ns the new size -- beats the best so far by
-    1e-12, the best starting at the score of staying put; no move leaves
-    fewer than floor vertices.  Each vertex's inside degree (its edges whose
-    other vertices all lie in mask) is counted from others once, then kept
-    up to date: flipping u moves the degree of w by one for each pair
-    (w, rest) of u whose rest lies in mask.  A move costs
-    O(n + (k-1) * deg(u)), not a scan of every edge."""
-    size = mask.bit_count()
-    deg = [sum(1 for e in om if e & mask == e) for om in others]  # others[v] excludes v
-    # each inside edge is seen once per contained vertex, hence the // k
-    inside = sum(dv for v, dv in enumerate(deg) if mask >> v & 1) // k
-    yield mask, size, inside
-    for _ in range(budget):
-        move, best, move_di = -1, score(inside, size, 0, size), 0
-        for v, dv in enumerate(deg):
-            member = mask >> v & 1
-            if member and size <= floor:
-                continue
-            di, ns = (-dv, size - 1) if member else (dv, size + 1)
-            cand = score(inside, size, di, ns)
-            if cand < best - 1e-12:
-                move, best, move_di = v, cand, di
-        if move < 0:
-            return
-        mask ^= 1 << move
-        step = 1 if mask >> move & 1 else -1
+
+def _by_vertex(n: int, vertex: np.ndarray, *columns: np.ndarray) -> tuple:
+    """CSR over vertices: ptr, then each column sorted by vertex, so that
+    the entries of v are [ptr[v], ptr[v + 1])."""
+    import numpy as np
+
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(vertex, minlength=n), out=ptr[1:])
+    order = np.argsort(vertex, kind="stable")
+    return (ptr, *(c[order] for c in columns))
+
+
+def _segment_sums(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """Per vertex v, the int64 sum of the 0/1 rows ptr[v] .. ptr[v + 1] - 1
+    of values.  reduceat copies all of values into its sum type, so the
+    sums are taken in the least int type that holds the longest segment."""
+    import numpy as np
+
+    lengths = ptr[1:] - ptr[:-1]
+    out = np.zeros((len(lengths), values.shape[1]), dtype=np.int64)
+    held = np.flatnonzero(lengths)
+    if len(held):
+        dtype = np.min_scalar_type(-int(lengths.max()) - 1)
+        out[held] = np.add.reduceat(values, ptr[held], axis=0, dtype=dtype)
+    return out
+
+
+def _entries(ptr: np.ndarray, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR positions of us[0]'s entries, then us[1]'s, ...; and for each
+    position the index into us it belongs to."""
+    import numpy as np
+
+    lengths = ptr[us + 1] - ptr[us]
+    which = np.repeat(np.arange(len(us)), lengths)
+    shift = np.repeat(np.cumsum(lengths) - lengths - ptr[us], lengths)
+    return which, np.arange(len(which)) - shift
+
+
+def _membership(masks: list[int], n: int) -> np.ndarray:
+    """n x len(masks) bool: column c holds the bits of masks[c]."""
+    import numpy as np
+
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return np.ascontiguousarray(bits.T, dtype=bool)
+
+
+def _flip_index(h: Hypergraph) -> tuple:
+    """The host as numpy arrays for the descent: the edges (m x k); each
+    vertex's edges (CSR: ptr, edge); and per vertex u, a pair (edge, w)
+    for every edge through u and every other vertex w of it (CSR: ptr,
+    edge, w)."""
+    import numpy as np
+
+    k = h.k
+    edges = np.array(h.edges, dtype=np.intp).reshape(-1, k)
+    ids = np.arange(len(edges))
+    u, w = np.nonzero(~np.eye(k, dtype=bool))
+    return (edges, *_by_vertex(h.n, edges.ravel(), np.repeat(ids, k)),
+            *_by_vertex(h.n, edges[:, u].ravel(), np.repeat(ids, len(u)), edges[:, w].ravel()))
+
+
+def _first_descent_move(scores: list[float], stay: float) -> int:
+    """The scalar move rule: the lowest vertex whose score beats the best so
+    far by 1e-12, the best starting at stay; -1 for none."""
+    move, best = -1, stay
+    for v, score in enumerate(scores):
+        if score < best - 1e-12:
+            move, best = v, score
+    return move
+
+
+def _descend(index: tuple, n: int, k: int, restarts: int, start: Callable[[int], int], budget: int,
+             floor: int, score: Callable, value: Callable) -> tuple[float, tuple[int, ...], int]:
+    """Descend from start(r), a vertex mask, for every restart r, in blocks
+    of restarts.  Returns the least value over all the descents' states,
+    the first subset that attains it (in restart order, then state order),
+    and the number of steps, a step being a scan for a move: the last scan
+    of a descent finds none unless the budget ran out."""
+    import numpy as np
+
+    best, best_subset, steps = inf, (), 0
+    for block in _restart_blocks(restarts, index[0].size + n):  # a cell per edge incidence and per vertex
+        values, subsets, moves = _descend_block(index, [start(r) for r in block], n, k, budget, floor,
+                                                score, value)
+        steps += int(np.minimum(moves + 1, budget).sum())
+        col = int(values.argmin())
+        if values[col] < best:
+            best, best_subset = float(values[col]), tuple(np.flatnonzero(subsets[:, col]).tolist())
+    return best, best_subset, steps
+
+
+def _descend_block(index: tuple, masks: list[int], n: int, k: int, budget: int, floor: int,
+                   score: Callable, value: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steepest single-vertex-flip descents from the start masks, all at
+    once, one column per start, over at most budget moves each.
+
+    Returns per column the least value(inside, size) over the descent's
+    states and the first subset attaining it (an n x columns bool array),
+    and the number of moves made.
+
+    score(mem, deg, size, inside) gives, per vertex and column, the score
+    of flipping that vertex, and per column the score of staying put.  A
+    column moves to the lowest vertex whose score beats the best so far by
+    1e-12, the best starting at the stay score; no move leaves fewer than
+    floor vertices.  That scan takes the argmin v* whenever v* beats every
+    earlier score by the same margin: the scan then accepts v* whatever it
+    held before, and no later score can beat v*'s.  Any other moving column
+    is handed to the scan itself (_first_descent_move).
+
+    A vertex's inside degree (its edges whose other vertices all lie in the
+    subset) is counted once from the member counts per edge, then kept up
+    to date: flipping u adds its step to the count of each edge through u,
+    and to the degree of w for each pair (e, w) of u whose rest e - u - w
+    lies in the subset."""
+    import numpy as np
+
+    edges, inc_ptr, inc_edge, pair_ptr, pair_edge, pair_other = index
+    mem = _membership(masks, n)
+    # members per edge, edges x columns; an edge needs k <= n <= HEURISTIC_HOST_LIMIT < 2**15
+    count = mem[edges].sum(axis=1, dtype=np.int16)
+    # a member's inside edges are full, a non-member's lack only it
+    deg = np.where(mem, _segment_sums((count == k)[inc_edge], inc_ptr),
+                   _segment_sums((count == k - 1)[inc_edge], inc_ptr))
+    size = mem.sum(axis=0)
+    inside = (count == k).sum(axis=0)
+    best, best_mem = value(inside, size), mem.copy()
+    moves = np.zeros(len(masks), dtype=np.int64)
+    live = np.arange(len(masks))  # the columns still descending; mem, deg, size and inside hold only these
+    below = np.arange(n)[:, None]
+    for _ in range(budget if n else 0):
+        cand, stay = score(mem, deg, size, inside)
+        cand[mem & (size <= floor)] = inf
+        low, pick = cand.min(axis=0), cand.argmin(axis=0)
+        moving = low < stay - 1e-12
+        for c in np.flatnonzero(moving & ((cand - 1e-12 <= low) & (below < pick)).any(axis=0)).tolist():
+            pick[c] = _first_descent_move(cand[:, c].tolist(), float(stay[c]))
+        if not moving.all():
+            live, mem, deg, size, inside, pick = live[moving], mem[:, moving], deg[:, moving], \
+                size[moving], inside[moving], pick[moving]
+            if not len(live):
+                break
+        cols = np.arange(len(live))
+        step = np.where(mem[pick, cols], -1, 1)
+        mem[pick, cols] = step > 0
         size += step
-        inside += move_di
-        for w, rest in pairs[move]:
-            if rest & mask == rest:
-                deg[w] += step
-        yield mask, size, inside
+        inside += step * deg[pick, cols]
+        which, pos = _entries(inc_ptr, pick)
+        count[inc_edge[pos], live[which]] += step[which]
+        which, pos = _entries(pair_ptr, pick)
+        e, w = pair_edge[pos], pair_other[pos]
+        hit = count[e, live[which]] - mem[w, which] - (step[which] > 0) == k - 2
+        np.add.at(deg, (w[hit], which[hit]), step[which[hit]])
+        moves[live] += 1
+        now = value(inside, size)
+        better = now < best[live]
+        best[live[better]] = now[better]
+        best_mem[:, live[better]] = mem[:, better]
+    return best, best_mem, moves
 
 
 def _vertex_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
-    n = h.n
-    binom = [comb(s, h.k) for s in range(n + 1)]
-    penalty = query.eta * n ** h.k
-    others = _edge_masks_without(h)
-    pairs = _flip_pairs(others)
-    best_slack = inf
-    best_mask = 0
-    steps_total = 0
-    for r in range(query.restarts):
-        rng = derive_rng(query.seed, f"vertex/{r}")
-        start = rng.getrandbits(n) if n else 0
-        descent = _descend(others, pairs, start, h.k, query.budget, 0,
-                           lambda inside, size, di, ns: di - query.d * (binom[ns] - binom[size]))
-        for states, (mask, size, inside) in enumerate(descent, 1):
-            slack = inside - query.d * binom[size] + penalty
-            if slack < best_slack:
-                best_slack, best_mask = slack, mask
-        # a step is a scan for a move, the last one finding none unless the budget ran out
-        steps_total += min(states, query.budget)
+    import numpy as np
+
+    n, k = h.n, h.k
+    binom = [comb(s, k) for s in range(n + 1)]
+    penalty = query.eta * n ** k
+    # per size s, the floats a one-vertex scan computes: d * (C(s +- 1, k) - C(s, k))
+    # and d * C(s, k); up[n] and down[0] pad moves that cannot occur
+    up = np.array([query.d * (binom[s + 1] - binom[s]) for s in range(n)] + [0.0])
+    down = np.array([0.0] + [query.d * (binom[s - 1] - binom[s]) for s in range(1, n + 1)])
+    weight = np.array([query.d * b for b in binom])
+
+    def score(mem, deg, size, inside):
+        return np.where(mem, -deg - down[size], deg - up[size]), np.zeros(len(size))
+
+    best_slack, best_subset, steps_total = _descend(
+        _flip_index(h), n, k, query.restarts,
+        lambda r: derive_rng(query.seed, f"vertex/{r}").getrandbits(n) if n else 0,
+        query.budget, 0, score, lambda inside, size: inside - weight[size] + penalty,
+    )
     return _heuristic_report(
-        "vertex", query, best_slack, {"U": list(_decode(best_mask, n))},
+        "vertex", query, best_slack, {"U": list(best_subset)},
         {"steps": steps_total, "best_slack": best_slack, "seed": query.seed},
     )
 
@@ -347,33 +490,21 @@ def ordered_triple_count(h: Hypergraph, xs: Iterable[int], ys: Iterable[int], zs
     return count
 
 
-def _codegrees(h: Hypergraph, first: set[int], second: set[int]) -> list[int]:
-    """Per vertex w: #{(a,b) in first*second : {a,b,w} an edge}."""
-    f, s = [0] * h.n, [0] * h.n  # 0/1 membership, read instead of set lookups
-    for v in first:
-        f[v] = 1
-    for v in second:
-        s[v] = 1
-    c = [0] * h.n
-    for x, y, z in h.edges:
-        fx, fy, fz, sx, sy, sz = f[x], f[y], f[z], s[x], s[y], s[z]
-        c[z] += fx * sy + fy * sx
-        c[y] += fx * sz + fz * sx
-        c[x] += fy * sz + fz * sy
-    return c
+def _codegree_index(h: Hypergraph) -> tuple:
+    """CSR over vertices w (ptr, a, b): both orders (a, b) of the other two
+    vertices of every edge through w."""
+    import numpy as np
+
+    edges = np.array(h.edges, dtype=np.intp).reshape(-1, 3)
+    w, a, b = (np.concatenate([edges[:, p[i]] for p in permutations(range(3))]) for i in range(3))
+    return _by_vertex(h.n, w, a, b)
 
 
-def _move_codegrees(links: list[list[tuple[int, int]]], moved: Iterable[int], step: int,
-                    table: list[int], partner: set[int]) -> None:
-    """Add step to a codegree table for each pair of a moved vertex's edge
-    whose other vertex lies in partner."""
-    inside = [0] * len(links)  # step on partner's members, read instead of set lookups
-    for v in partner:
-        inside[v] = step
-    for u in moved:
-        for p, q in links[u]:
-            table[q] += inside[p]
-            table[p] += inside[q]
+def _codegrees(index: tuple, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Per vertex w and column c: #{(a,b) in first*second : {a,b,w} an edge},
+    first and second being n x columns bool membership."""
+    ptr, a, b = index
+    return _segment_sums(first[a] & second[b], ptr)
 
 
 def triple_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
@@ -447,64 +578,62 @@ def _triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
 def _triple_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
     """Alternating descent: each role in turn becomes the set of vertices
     whose codegree into the other two sets lies below d times their sizes.
-    Each role's codegree table is built once per restart, when the role is
-    first updated; after that a role update moves the other two tables
-    through the edges of the vertices that joined or left.  The tables are
-    integers, so they equal a fresh count exactly."""
+    The restarts run together, one column each, and a column stops after a
+    sweep that changes none of its sets.  Each role update counts the role's
+    codegree table for every running column at once; the tables are
+    integers, so they are the same however they are counted."""
+    import numpy as np
+
     n = h.n
+    penalty = query.eta * n ** 3
+    index = _codegree_index(h)
     best = inf
     best_cert: tuple = ((), (), ())
     traces: list[list[float]] = []
-    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # links[u]: the other two vertices of u's edges
-    for x, y, z in h.edges:
-        links[x].append((y, z))
-        links[y].append((x, z))
-        links[z].append((x, y))
 
     # The ordered-triple count is symmetric in the three roles: it is the
     # sum, over any one set, of the codegrees into the other two.
-    def objective(count: int) -> float:
-        return count - query.d * len(sets[0]) * len(sets[1]) * len(sets[2]) + query.eta * n ** 3
+    def objective(count, sizes):
+        return count - query.d * sizes[0] * sizes[1] * sizes[2] + penalty
 
-    for r in range(query.restarts):
-        rng = derive_rng(query.seed, f"triple/{r}")
-        sets = [
-            {v for v in range(n) if rng.random() < 0.5},
-            {v for v in range(n) if rng.random() < 0.5},
-            {v for v in range(n) if rng.random() < 0.5},
-        ]
-        # tables[role][w]: w's codegree into the two sets other than role's,
-        # built when the role is first updated
-        tables: list[Optional[list[int]]] = [None, None, _codegrees(h, sets[0], sets[1])]
-        obj = objective(sum(tables[2][z] for z in sets[2]))
-        trace = [obj]
+    for block in _restart_blocks(query.restarts, 6 * h.edge_count + n):
+        draws = []
+        for r in block:
+            rng = derive_rng(query.seed, f"triple/{r}")
+            draws.append([rng.random() for _ in range(3 * n)])
+        # sets[role][v, c]: v lies in that role's set in column c
+        sets = np.ascontiguousarray(np.array(draws).reshape(len(block), 3, n).transpose(1, 2, 0) < 0.5)
+        sizes = sets.sum(axis=1)
+        obj = objective((_codegrees(index, sets[0], sets[1]) * sets[2]).sum(axis=0), sizes)
+        final = obj.copy()
+        block_traces = [[value] for value in obj.tolist()]
+        live = np.arange(len(block))
         for _ in range(query.budget):
-            changed = False
+            changed = np.zeros(len(live), dtype=bool)
             for role in (2, 0, 1):
                 a, b = (role + 1) % 3, (role + 2) % 3
-                c = tables[role]
-                if c is None:
-                    c = tables[role] = _codegrees(h, sets[a], sets[b])
-                threshold = query.d * len(sets[a]) * len(sets[b])
-                replacement = {v for v in range(n) if c[v] < threshold}
-                if replacement != sets[role]:
-                    for moved, step in ((replacement - sets[role], 1), (sets[role] - replacement, -1)):
-                        for t, partner in ((a, b), (b, a)):
-                            if tables[t] is not None:
-                                _move_codegrees(links, moved, step, tables[t], sets[partner])
-                    sets[role] = replacement
-                    changed = True
-                new_obj = objective(sum(c[v] for v in replacement))
-                if new_obj > obj + 1e-9:
-                    raise RuntimeError(f"descent step increased the objective from {obj} to {new_obj}")
-                obj = new_obj
-                trace.append(obj)
-            if not changed:
+                c = _codegrees(index, sets[a][:, live], sets[b][:, live])
+                threshold = query.d * sizes[a, live] * sizes[b, live]
+                replacement = c < threshold
+                changed |= (replacement != sets[role][:, live]).any(axis=0)
+                sets[role][:, live] = replacement
+                sizes[role, live] = replacement.sum(axis=0)
+                new_obj = objective((c * replacement).sum(axis=0), sizes[:, live])
+                rising = np.flatnonzero(new_obj > obj + 1e-9)
+                if len(rising):
+                    i = rising[0]
+                    raise RuntimeError(f"descent step increased the objective from {float(obj[i])} to {float(new_obj[i])}")
+                obj = final[live] = new_obj
+                for col, value in zip(live.tolist(), new_obj.tolist()):
+                    block_traces[col].append(value)
+            live, obj = live[changed], obj[changed]
+            if not len(live):
                 break
-        traces.append(trace)
-        if obj < best:
-            best = obj
-            best_cert = (tuple(sorted(sets[0])), tuple(sorted(sets[1])), tuple(sorted(sets[2])))
+        traces += block_traces
+        col = int(final.argmin())
+        if final[col] < best:
+            best = float(final[col])
+            best_cert = tuple(tuple(np.flatnonzero(s[:, col]).tolist()) for s in sets)
     X, Y, Z = best_cert
     return _heuristic_report(
         "triple", query, best, {"X": list(X), "Y": list(Y), "Z": list(Z)},
@@ -537,6 +666,7 @@ def density_profile(
             raise ValueError(f"exact mode limited to n <= {VERTEX_EXACT_LIMIT}")
         return _profile_exact(h, eta_grid)
     if mode == "heuristic":
+        _check_heuristic_host(h)
         return _profile_heuristic(h, eta_grid, budget, restarts, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -560,28 +690,33 @@ def _profile_exact(h: Hypergraph, eta_grid: Sequence[float]) -> ProfileReport:
 def _profile_heuristic(
     h: Hypergraph, eta_grid: Sequence[float], budget: int, restarts: int, seed: int
 ) -> ProfileReport:
+    import numpy as np
+
     n, k = h.n, h.k
-    binom = [comb(s, k) for s in range(n + 1)]
-    others = _edge_masks_without(h)
-    pairs = _flip_pairs(others)
+    # exact counts below 2**53, so each ratio is the float of int / int.  The
+    # 1s stand in where no move is taken: below k (the floor is at least k)
+    # and at n + 1 (at size n no vertex is outside)
+    binom = np.array([max(comb(s, k), 1) for s in range(n + 2)], dtype=np.float64)
+
+    def score(mem, deg, size, inside):
+        ratio = (np.where(mem, -deg, deg) + inside) / binom[np.where(mem, size - 1, size + 1)]
+        return ratio, inside / binom[size]
+
+    index = _flip_index(h)
     entries = []
     for eta in eta_grid:
         floor = size_floor(eta, n, k)
         if floor > n:
             entries.append(ProfileEntry(eta, floor, None, None))
             continue
-        best_ratio = inf
-        best_mask = 0
-        for r in range(restarts):
+
+        def start(r: int) -> int:
             rng = derive_rng(seed, f"profile/{float(eta)}/{r}")
-            start = sum(1 << v for v in rng.sample(range(n), rng.randint(floor, n)))
-            descent = _descend(others, pairs, start, k, budget, floor,
-                               lambda inside, size, di, ns: (inside + di) / binom[ns])
-            for mask, size, inside in descent:
-                ratio = inside / binom[size]
-                if ratio < best_ratio:
-                    best_ratio, best_mask = ratio, mask
-        entries.append(ProfileEntry(eta, floor, best_ratio, _decode(best_mask, n)))
+            return sum(1 << v for v in rng.sample(range(n), rng.randint(floor, n)))
+
+        best_ratio, best_subset, _ = _descend(index, n, k, restarts, start, budget, floor, score,
+                                              lambda inside, size: inside / binom[size])
+        entries.append(ProfileEntry(eta, floor, best_ratio, best_subset))
     return ProfileReport(entries, "heuristic", {"restarts": restarts, "seed": seed})
 
 

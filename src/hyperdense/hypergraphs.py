@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Optional, Sequence
 
 Edge = tuple[int, ...]
@@ -46,6 +47,30 @@ class Hypergraph:
             raise ValueError(f"uniformity must be >= 2, got {self.k}")
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
+        if not self._is_canonical():
+            self._reject()
+
+    def _is_canonical(self) -> bool:
+        """The four conditions of canonical form, one pass each, all in C:
+        every edge has k vertices; each column is below the next, so every
+        edge increases; the first column is at least 0 and the last below
+        n, so every vertex is in range; and the edge list strictly
+        increases."""
+        edges = self.edges
+        if not edges:
+            return True
+        if set(map(len, edges)) != {self.k}:
+            return False
+
+        def column(i: int) -> Iterator[int]:
+            return map(itemgetter(i), edges)
+
+        return (all(all(map(lt, column(i), column(i + 1))) for i in range(self.k - 1))
+                and min(column(0)) >= 0 and max(column(self.k - 1)) < self.n
+                and all(map(lt, edges, islice(edges, 1, None))))
+
+    def _reject(self) -> None:
+        """Raise the error of the first edge that breaks canonical form."""
         prev = None
         for e in self.edges:
             if len(e) != self.k:

@@ -70,8 +70,12 @@ class ReducedHypergraph:
         constituents: dict[Triple, set[ClassEdge]],
     ) -> "ReducedHypergraph":
         full_sizes = {tuple(sorted(p)): s for p, s in class_sizes.items()}
+        # one tuple object per distinct class edge: constituents over small
+        # classes repeat the same few edges thousands of times
+        shared: dict[ClassEdge, ClassEdge] = {}
         full_cons = {
-            tuple(sorted(t)): frozenset(tuple(e) for e in es) for t, es in constituents.items()
+            tuple(sorted(t)): frozenset(shared.setdefault(e, e) for e in map(tuple, es))
+            for t, es in constituents.items()
         }
         for triple in combinations(range(m), 3):
             full_cons.setdefault(triple, frozenset())

@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import hyperdense
-from hyperdense import inequalities, parse_hypergraph, rainbow
+from hyperdense import density, inequalities, parse_hypergraph, rainbow
 from hyperdense.cli import _emit, main
 from hyperdense.reduced import complete_reduced, serialize_reduced_json
 
@@ -189,6 +190,43 @@ def test_audit_heuristic_unresolved_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert loads(out)["result"]["verdict"] == "unresolved"
+
+
+# the smallest 5-graph whose 5-set count reaches 2**53, on fewer vertices than the limit
+K5_SET_LIMIT_N = next(n for n in range(5, density.HEURISTIC_HOST_LIMIT) if comb(n, 5) >= 1 << 53)
+
+
+@pytest.mark.parametrize("notion, k, n", [
+    ("vertex", 3, density.HEURISTIC_HOST_LIMIT + 1),
+    ("triple", 3, density.HEURISTIC_HOST_LIMIT + 1),
+    ("profile", 3, density.HEURISTIC_HOST_LIMIT + 1),
+    ("vertex", 5, K5_SET_LIMIT_N),
+    ("profile", 5, K5_SET_LIMIT_N),
+])
+def test_audit_heuristic_rejects_hosts_past_the_limit(tmp_path, capsys, notion, k, n):
+    # a header alone: over the limit, nothing is allocated
+    path = write(tmp_path, "huge.hyg", f"{k} {n} 0\n")
+    code, out, err = run(capsys, "audit", notion, path, "--mode", "heuristic")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: heuristic mode limited to n <= {density.HEURISTIC_HOST_LIMIT} and C(n, k) < 2**53, "
+        f"got n = {n}, k = {k}"
+    ]
+
+
+@pytest.mark.parametrize("notion, k, n, exit_code", [
+    ("vertex", 3, density.HEURISTIC_HOST_LIMIT, 1),
+    ("triple", 3, density.HEURISTIC_HOST_LIMIT, 1),
+    ("profile", 3, density.HEURISTIC_HOST_LIMIT, 0),
+    ("vertex", 5, K5_SET_LIMIT_N - 1, 3),
+])
+def test_audit_heuristic_takes_hosts_at_the_limit(tmp_path, capsys, notion, k, n, exit_code):
+    path = write(tmp_path, "edge.hyg", f"{k} {n} 0\n")
+    code, out, _ = run(capsys, "audit", notion, path, "--mode", "heuristic", "--eta-grid", "0.5",
+                       "--restarts", "1", "--budget", "1")
+    assert code == exit_code
+    assert loads(out)["command"] == "audit"
 
 
 def test_audit_profile(tmp_path, capsys):

@@ -6,6 +6,7 @@ from itertools import combinations, count, islice
 from math import comb, isclose
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperdense
@@ -332,7 +333,7 @@ def test_increasing_descent_step_raises(monkeypatch):
     # Codegrees below every threshold put each vertex in each role; once the
     # sets are full, a table that grows on each call raises the objective.
     calls = count()
-    monkeypatch.setattr(density, "_codegrees", lambda h, first, second: [next(calls) - 10**6] * h.n)
+    monkeypatch.setattr(density, "_codegrees", lambda index, first, second: np.full(first.shape, next(calls) - 10**6))
     q = DensityQuery(d=0.5, eta=0.01, mode="heuristic", restarts=1, budget=2)
     with pytest.raises(RuntimeError, match="descent"):
         triple_density_check(Hypergraph(3, 6, ()), q)

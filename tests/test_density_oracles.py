@@ -3,7 +3,8 @@
 The exact audits are checked against Gray-code scans, and the vertex and
 profile heuristics against their two original hand-written descents.
 The block-wise three-set audit is also checked against the per-X scan it
-replaced.  Reports must agree byte for byte: slack, verdict, certificate, argmin,
+replaced, and the three heuristics, which run every restart at once in
+blocks, against the searches that ran one restart at a time.  Reports must agree byte for byte: slack, verdict, certificate, argmin,
 stats and every profile entry.  Empty and complete hosts and d in {0, 1}
 are drawn often, because they tie many subsets and exercise the
 tie-breaking rules.  The vertex and triple paths are called below the
@@ -19,9 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gray_oracles import profile_exact, triple_exact, triple_exact_by_x, vertex_exact
-from heuristic_oracles import profile_heuristic, vertex_heuristic
+import numpy as np
+
+from heuristic_oracles import codegrees, profile_heuristic, triple_heuristic, vertex_heuristic
 from hyperdense import DensityQuery, Hypergraph, density, density_profile
-from hyperdense.density import _codegrees, _triple_exact, _vertex_exact, _vertex_heuristic, ordered_triple_count
+from hyperdense.density import (
+    _codegree_index,
+    _codegrees,
+    _restart_blocks,
+    _triple_exact,
+    _triple_heuristic,
+    _vertex_exact,
+    _vertex_heuristic,
+    ordered_triple_count,
+)
 from hyperdense.rainbow import build_pattern_host, random_pair_colouring
 from hyperdense.seeding import derive_rng
 
@@ -126,6 +138,59 @@ def test_profile_heuristic_matches_reference_descent(h, grid, budget, restarts, 
     assert same(report, profile_heuristic(h, grid, budget, restarts, seed))
 
 
+@ORACLE_SETTINGS
+@given(hosts(max_n=10, uniformities=(3,)), densities, etas, budgets, restart_counts, seeds)
+def test_triple_heuristic_matches_reference_descent(h, d, eta, budget, restarts, seed):
+    query = DensityQuery(d=d, eta=eta, mode="heuristic", budget=budget, restarts=restarts, seed=seed)
+    assert same(_triple_heuristic(h, query), triple_heuristic(h, query))
+
+
+# Blocks of 1, 2 and 3 restarts: with up to 6 restarts the last block is
+# often short, and a tie between blocks must keep the earlier restart.
+@ORACLE_SETTINGS
+@given(hosts(max_n=8, uniformities=(3,)), densities, budgets, st.integers(1, 3), restart_counts, seeds)
+def test_heuristics_match_reference_in_small_blocks(h, d, budget, rows, restarts, seed):
+    query = DensityQuery(d=d, eta=0.01, mode="heuristic", budget=budget, restarts=restarts, seed=seed)
+    grid = [0.25, 0.5]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_RESTART_BLOCK", rows * (3 * h.edge_count + h.n))
+        vertex = _vertex_heuristic(h, query)
+        profile = density_profile(h, grid, mode="heuristic", budget=budget, restarts=restarts, seed=seed)
+        mp.setattr(density, "_RESTART_BLOCK", rows * (6 * h.edge_count + h.n))
+        triple = _triple_heuristic(h, query)
+    assert same(vertex, vertex_heuristic(h, query))
+    assert same(profile, profile_heuristic(h, grid, budget, restarts, seed))
+    assert same(triple, triple_heuristic(h, query))
+
+
+# One restart per block, on hosts where two restarts end at the same least
+# value with different certificates: the earlier restart must keep it.
+@pytest.mark.parametrize("notion, n, edges, d, budget", [
+    ("vertex", 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)), 0.5, 1),
+    ("triple", 4, tuple(combinations(range(4), 3)), 0.5, 2),
+])
+def test_ties_between_blocks_keep_the_earlier_restart(notion, n, edges, d, budget):
+    h = Hypergraph(3, n, edges)
+    query = DensityQuery(d=d, eta=0.01, mode="heuristic", budget=budget, restarts=6)
+    audit, reference = {"vertex": (_vertex_heuristic, vertex_heuristic),
+                        "triple": (_triple_heuristic, triple_heuristic)}[notion]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_RESTART_BLOCK", 1)
+        report = audit(h, query)
+    assert report.verdict == "violated"
+    assert same(report, reference(h, query))
+
+
+@pytest.mark.parametrize("restarts, rows, sizes", [(7, 3, [3, 3, 1]), (6, 3, [3, 3]), (5, 1, [1] * 5), (2, 64, [2])])
+def test_restart_blocks_cover_every_restart_once(restarts, rows, sizes):
+    cells = 10
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_RESTART_BLOCK", rows * cells)
+        blocks = list(_restart_blocks(restarts, cells))
+    assert [len(b) for b in blocks] == sizes
+    assert [r for b in blocks for r in b] == list(range(restarts))
+
+
 def random_host(k: int, n: int, p: float, seed: int) -> Hypergraph:
     rng = derive_rng(seed, "oracle-host")
     return Hypergraph(k, n, tuple(e for e in combinations(range(n), k) if rng.random() < p))
@@ -156,11 +221,47 @@ def test_profile_heuristic_matches_reference_descent_at_bench_size(name):
     assert same(report, profile_heuristic(h, grid, 1000, 4, 0))
 
 
+@pytest.mark.parametrize("name", ["pattern-60"])
+@pytest.mark.parametrize("d", [0.01, 0.2])
+def test_triple_heuristic_matches_reference_descent_at_bench_size(name, d):
+    h = BENCH_HOSTS[name]()
+    query = DensityQuery(d=d, eta=0.01, mode="heuristic")
+    assert same(_triple_heuristic(h, query), triple_heuristic(h, query))
+
+
+# At small d two flip scores can lie within 1e-12 of each other without
+# being equal.  The argmin then takes the lower, later vertex, while the
+# scalar rule keeps the earlier one; the scan must decide those moves.  On
+# the 40-vertex host some such move has no exact tie after the argmin, so
+# only the check of the earlier scores sends it to the scan.
+@pytest.mark.parametrize("n, seed, d, restarts", [(60, 1, 0.01, 4), (40, 2, 0.02, 8)])
+def test_scalar_scan_overrules_the_argmin_at_near_ties(monkeypatch, n, seed, d, restarts):
+    scan = density._first_descent_move
+    overruled = []
+
+    def spy(scores, stay):
+        move = scan(scores, stay)
+        overruled.append(move != scores.index(min(scores)))
+        return move
+
+    monkeypatch.setattr(density, "_first_descent_move", spy)
+    h = build_pattern_host(random_pair_colouring(n, 3, seed))
+    query = DensityQuery(d=d, eta=0.01, mode="heuristic", restarts=restarts)
+    report = _vertex_heuristic(h, query)
+    assert any(overruled)
+    assert same(report, vertex_heuristic(h, query))
+
+
 def test_codegrees_match_ordered_triple_counts():
     rng = derive_rng(0, "codegree-sets")
     for seed, (n, p) in enumerate([(12, 0.5), (20, 0.2), (30, 0.1)]):
         h = random_host(3, n, p, seed)
-        for _ in range(20):
-            first = {v for v in range(n) if rng.random() < 0.5}
-            second = {v for v in range(n) if rng.random() < 0.5}
-            assert _codegrees(h, first, second) == [ordered_triple_count(h, first, second, {w}) for w in range(n)]
+        pairs = [({v for v in range(n) if rng.random() < 0.5}, {v for v in range(n) if rng.random() < 0.5})
+                 for _ in range(20)]
+        # every pair at once, one column each
+        first, second = (np.array([[v in sets[i] for sets in pairs] for v in range(n)]) for i in (0, 1))
+        table = _codegrees(_codegree_index(h), first, second)
+        for c, (one, two) in enumerate(pairs):
+            expected = [ordered_triple_count(h, one, two, {w}) for w in range(n)]
+            assert codegrees(h, one, two) == expected
+            assert table[:, c].tolist() == expected

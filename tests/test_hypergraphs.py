@@ -26,6 +26,7 @@ from hyperdense.seeding import derive_rng
 from hyperdense.ternary import build_kary
 
 from backtrack_oracles import first_copy, naive_contains_copy
+from hypergraph_oracles import canonical_form_error
 from conftest import C5_MINUS_TEXT
 
 
@@ -96,6 +97,60 @@ def test_constructor_rejects_non_canonical():
         Hypergraph(3, 4, ((1, 2, 3), (0, 1, 2)))
     with pytest.raises(ValueError):
         Hypergraph(3, 3, ((0, 1, 1),))
+
+
+# Each malformed kind with the message the per-edge loop gave; where an edge
+# list breaks several conditions, the first edge that breaks any wins, and
+# for that edge the conditions are checked in the order of the loop.
+@pytest.mark.parametrize("k, n, edges, message", [
+    (3, 5, ((0, 1),), "edge (0, 1) does not have 3 vertices"),
+    (3, 5, ((0, 1, 2), (0, 1, 2, 3)), "edge (0, 1, 2, 3) does not have 3 vertices"),
+    (3, 5, ((0, 1, 5),), "edge (0, 1, 5) has a vertex outside [0, 5)"),
+    (3, 5, ((-1, 0, 1),), "edge (-1, 0, 1) has a vertex outside [0, 5)"),
+    (3, 5, ((0, 7, 2),), "edge (0, 7, 2) has a vertex outside [0, 5)"),
+    (3, 5, ((0, 2, 1),), "edge (0, 2, 1) is not strictly increasing"),
+    (3, 5, ((0, 1, 2), (1, 1, 3)), "edge (1, 1, 3) is not strictly increasing"),
+    (3, 5, ((0, 1, 3), (0, 1, 2)), "edge list is not in canonical sorted order"),
+    (3, 5, ((0, 1, 2), (0, 1, 2)), "edge list is not in canonical sorted order"),
+    (3, 5, ((0, 1, 3), (0, 1, 2), (0, 1)), "edge list is not in canonical sorted order"),
+    (3, 5, ((1, 2, 3), (0, 1, 9), (0, 1)), "edge (0, 1, 9) has a vertex outside [0, 5)"),
+    (2, 0, ((0, 1),), "edge (0, 1) has a vertex outside [0, 0)"),
+])
+def test_constructor_words_the_first_fault_as_the_edge_loop_did(k, n, edges, message):
+    assert canonical_form_error(k, n, edges) == message
+    with pytest.raises(ValueError) as info:
+        Hypergraph(k, n, edges)
+    assert str(info.value) == message
+
+
+@st.composite
+def edge_lists(draw):
+    """Short edge lists near canonical form: drawn sorted or not, with
+    vertices just outside [0, n) and edges one vertex short or long."""
+    k, n = draw(st.integers(2, 4)), draw(st.integers(0, 6))
+    edge = st.lists(st.integers(-1, n), min_size=k - 1, max_size=k + 1).map(tuple)
+    edges = draw(st.lists(edge, max_size=6))
+    if draw(st.booleans()):
+        edges = sorted(tuple(sorted(e)) for e in edges)
+    return k, n, tuple(edges)
+
+
+@given(edge_lists())
+def test_constructor_accepts_and_rejects_as_the_edge_loop_did(case):
+    k, n, edges = case
+    message = canonical_form_error(k, n, edges)
+    if message is None:
+        assert Hypergraph(k, n, edges).edges == edges
+    else:
+        with pytest.raises(ValueError) as info:
+            Hypergraph(k, n, edges)
+        assert str(info.value) == message
+
+
+def test_constructor_accepts_canonical_hosts():
+    for h in (build_kary(3, 3), build_pattern_host(random_pair_colouring(20, 3, 0)), Hypergraph(3, 4, ())):
+        assert canonical_form_error(h.k, h.n, h.edges) is None
+        assert Hypergraph(h.k, h.n, h.edges) == h
 
 
 @given(small_hypergraphs())

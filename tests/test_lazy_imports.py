@@ -87,6 +87,34 @@ def test_cli_command_loads_only_its_modules(tmp_path, argv, loaded):
     assert modules == [f"hyperdense.{m}" for m in loaded]
 
 
+# The heuristic audits run every restart at once as numpy columns, so they
+# load numpy; the deciders still run in pure Python.
+@pytest.mark.parametrize(
+    "argv, numpy_loaded",
+    [
+        (["audit", "vertex", "{file}", "--mode", "heuristic", "--restarts", "2"], True),
+        (["audit", "triple", "{file}", "--mode", "heuristic", "--restarts", "2"], True),
+        (["audit", "profile", "{file}", "--mode", "heuristic", "--restarts", "2"], True),
+        (["decide-pi1", "{file}"], False),
+    ],
+)
+def test_cli_heuristic_audit_loads_numpy_and_decider_does_not(tmp_path, argv, numpy_loaded):
+    path = tmp_path / "c5.hyg"
+    path.write_text(C5_MINUS_TEXT)
+    argv = [a.format(file=path) for a in argv]
+    script = (
+        "import json, sys\n"
+        "from hyperdense import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    proc = fresh(script)
+    code, loaded = json.loads(proc.stderr)
+    assert code in (0, 1, 3)
+    assert json.loads(proc.stdout)["command"] == argv[0]
+    assert loaded is numpy_loaded
+
+
 def test_cli_numpy_command_in_fresh_process():
     script = (
         "import json, sys\n"

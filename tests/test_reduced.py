@@ -313,6 +313,17 @@ def test_reduced_json_roundtrip():
     assert again == rh
 
 
+def test_constituents_share_one_tuple_per_class_edge():
+    # parsed from JSON, every edge arrives as a list of its own; the
+    # constituents keep one tuple object per distinct class edge
+    rh = random_reduced(6, 2, 0.7, 3)
+    again = parse_reduced_json(serialize_reduced_json(rh))
+    edges = [e for es in again.constituents.values() for e in es]
+    assert again == rh
+    assert len(edges) > 8
+    assert len({id(e) for e in edges}) == len(set(edges)) <= 8
+
+
 def test_selection_json_roundtrip():
     rh = complete_reduced(4, 2)
     sel = select_rainbow_core(rh, 1.0, 3)
