@@ -161,7 +161,7 @@ def cmd_reduced(args) -> int:
     if args.action == "select":
         selection = reduced.select_rainbow_core(rh, args.mu, args.f)
         if selection is None:
-            _emit(_envelope(args, "reduced", {"selection": "none"}, mu=args.mu, f=args.f), args)
+            _emit(_envelope(args, "reduced", {"selection": "none"}, mu=args.mu, f=args.f, file=args.file), args)
             return EXIT_NEGATIVE
         result = {"selection": reduced.selection_to_dict(selection)}
         _emit(_envelope(args, "reduced", result, mu=args.mu, f=args.f, file=args.file), args)
@@ -236,7 +236,7 @@ def cmd_embed(args) -> int:
     host = _load_hypergraph(args.host)
     witness = hypergraphs.contains_copy(pattern, host)
     if witness is None:
-        _emit(_envelope(args, "embed", {"witness": "none"}), args)
+        _emit(_envelope(args, "embed", {"witness": "none"}, pattern=args.pattern, host=args.host), args)
         return EXIT_NEGATIVE
     if not hypergraphs.is_embedding(pattern, host, witness.mapping):
         raise RuntimeError("embedding witness does not verify")

@@ -144,18 +144,6 @@ class ProfileReport:
         }
 
 
-def _edge_masks_without(h: Hypergraph) -> list[list[int]]:
-    """Per vertex v, bitmasks of (edge minus v) for every edge through v."""
-    out: list[list[int]] = [[] for _ in range(h.n)]
-    for e in h.edges:
-        mask = 0
-        for v in e:
-            mask |= 1 << v
-        for v in e:
-            out[v].append(mask & ~(1 << v))
-    return out
-
-
 def _decode(mask: int, n: int) -> tuple[int, ...]:
     return tuple(v for v in range(n) if mask >> v & 1)
 

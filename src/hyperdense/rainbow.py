@@ -344,9 +344,3 @@ def parse_pair_colouring(text: str) -> PairColouring:
         raise ValueError("missing header line")
     return PairColouring(k, n, colours)
 
-
-def serialize_pair_colouring(phi: PairColouring) -> str:
-    lines = [f"{phi.k} {phi.n}"]
-    for face in sorted(phi.colours):
-        lines.append(" ".join(map(str, face)) + f" {phi.colours[face]}")
-    return "\n".join(lines) + "\n"

@@ -14,28 +14,36 @@ by least element).  The guarantees behind the mechanism hold only for
 astronomically many indices, so at desk scale a selection may honestly
 fail; a returned success, however, is always verified before it leaves
 this module.
+
+The input's mu-density is checked exactly, against the decimal that mu
+names.  On a mu-dense input every stage's candidate sets meet their floor
+(mu/2 of the anchored class for red, mu/4 for blue and green); the
+pipeline checks each floor once, as it builds the stage, and reports a
+breach as an internal fault (RuntimeError), not as an input error.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Optional, Sequence
-
-from .seeding import derive_rng
+from fractions import Fraction
+from itertools import combinations
+from typing import Callable, Optional, Sequence
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 ClassEdge = tuple[int, int, int]  # (vertex in P^{ij}, in P^{ik}, in P^{jk})
+Selection = tuple[tuple[int, ...], dict[Pair, object]]  # chosen indices, element per pair
+
+# Input sizes reduced_from_dict accepts.  Each stage holds a candidate set
+# per index triple, about C(m, 3) times the class size elements; with every
+# class at the limit and mu = 0, select takes about 2.5 s and 130 MB.
+INDEX_LIMIT = 64
+CLASS_SIZE_LIMIT = 64
 
 
 class MuDensityError(ValueError):
     """Input reduced hypergraph misses the required constituent density."""
-
-
-class SelectionInputError(ValueError):
-    """A candidate set violates the declared size margin."""
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,7 @@ class ReducedHypergraph:
 
     @classmethod
     def from_parts(
-        cls,
-        m: int,
-        class_sizes: dict[Pair, int],
-        constituents: dict[Triple, set[ClassEdge]],
+        cls, m: int, class_sizes: dict[Pair, int], constituents: dict[Triple, set[ClassEdge]]
     ) -> "ReducedHypergraph":
         full_sizes = {tuple(sorted(p)): s for p, s in class_sizes.items()}
         # one tuple object per distinct class edge: constituents over small
@@ -86,9 +91,7 @@ class ReducedHypergraph:
 
     def class_product(self, triple: Triple) -> int:
         i, j, k = sorted(triple)
-        return (
-            self.class_sizes[(i, j)] * self.class_sizes[(i, k)] * self.class_sizes[(j, k)]
-        )
+        return self.class_sizes[(i, j)] * self.class_sizes[(i, k)] * self.class_sizes[(j, k)]
 
 
 @dataclass(frozen=True)
@@ -102,34 +105,16 @@ class CoreSelection:
 
 
 def is_mu_dense(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple]]:
-    """Whether every constituent has density >= mu; also the worst triple
-    (None when m < 3 and there are no constituents at all)."""
+    """Whether every constituent has density >= mu, compared exactly against
+    the decimal that mu names; also the worst triple (None when m < 3 and
+    there are no constituents at all)."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
-    worst_ratio = 2.0
-    worst: Optional[Triple] = None
-    dense = True
-    for triple in combinations(range(rh.m), 3):
-        prod = rh.class_product(triple)
-        count = len(rh.edges_of(triple))
-        if count < mu * prod:
-            dense = False
-        ratio = count / prod
-        if ratio < worst_ratio:
-            worst_ratio = ratio
-            worst = triple
-    return dense, worst
-
-
-def degree(rh: ReducedHypergraph, triple: Triple, pair: Pair, vertex: int) -> int:
-    """Edges of the constituent through the given class vertex."""
-    i, j, k = sorted(triple)
-    slot = {(i, j): 0, (i, k): 1, (j, k): 2}.get(tuple(sorted(pair)))
-    if slot is None:
-        raise ValueError(f"pair {pair} is not a class of triple {triple}")
-    if not 0 <= vertex < rh.class_sizes[tuple(sorted(pair))]:
-        raise ValueError(f"vertex {vertex} outside class {pair}")
-    return sum(1 for e in rh.edges_of(triple) if e[slot] == vertex)
+    bound = Fraction(str(mu))
+    triples = list(combinations(range(rh.m), 3))
+    sizes = {t: (len(rh.edges_of(t)), rh.class_product(t)) for t in triples}
+    dense = all(count * bound.denominator >= bound.numerator * prod for count, prod in sizes.values())
+    return dense, min(triples, key=lambda t: sizes[t][0] / sizes[t][1], default=None)
 
 
 def red_candidates(rh: ReducedHypergraph, mu_prime: float, triple: Triple) -> frozenset[int]:
@@ -164,12 +149,8 @@ def reverse_instance(inst: SelectionInstance) -> SelectionInstance:
     """Index reversal i -> size-1-i; an involution that swaps the red and
     green selection patterns."""
     M = inst.size
-    classes = {}
-    for (a, b), cls in inst.classes.items():
-        classes[(M - 1 - b, M - 1 - a)] = cls
-    candidates = {}
-    for (a, b, c), cand in inst.candidates.items():
-        candidates[(M - 1 - c, M - 1 - b, M - 1 - a)] = cand
+    classes = {(M - 1 - b, M - 1 - a): cls for (a, b), cls in inst.classes.items()}
+    candidates = {(M - 1 - c, M - 1 - b, M - 1 - a): cand for (a, b, c), cand in inst.candidates.items()}
     return SelectionInstance(M, classes, candidates)
 
 
@@ -179,22 +160,6 @@ _PAIR_OF = {
     "outer": lambda r, s, t: (r, t),
     "last": lambda r, s, t: (s, t),
 }
-
-
-def _check_margins(inst: SelectionInstance, eps: float, anchor: str) -> None:
-    pair_of = _PAIR_OF[anchor]
-    for r, s, t in combinations(range(inst.size), 3):
-        pair = pair_of(r, s, t)
-        cand = inst.candidates.get((r, s, t))
-        cls = inst.classes.get(pair)
-        if cand is None or cls is None:
-            raise SelectionInputError(f"instance misses data for triple {(r, s, t)}")
-        if not cand.issubset(cls):
-            raise SelectionInputError(f"candidates for {(r, s, t)} leave class {pair}")
-        if len(cand) < eps * len(cls):
-            raise SelectionInputError(
-                f"candidate set for {(r, s, t)} has {len(cand)} < {eps} * {len(cls)} elements"
-            )
 
 
 def verify_selection(
@@ -214,9 +179,7 @@ def verify_selection(
     )
 
 
-def select_red(
-    inst: SelectionInstance, eps: float, m: Optional[int]
-) -> Optional[tuple[tuple[int, ...], dict[Pair, object]]]:
+def select_red(inst: SelectionInstance, m: Optional[int]) -> Optional[Selection]:
     """Pick indices and, per pair, an element valid for every later chosen
     index.  m = None collects as many indices as the greedy can sustain.
 
@@ -224,7 +187,6 @@ def select_red(
     number of still-alive future indices whose candidate sets contain it
     (ties by least element), and the alive set shrinks to the survivors.
     """
-    _check_margins(inst, eps, "first")
     if m is not None and m > inst.size:
         return None
     chosen: list[int] = []
@@ -251,13 +213,10 @@ def select_red(
     return tuple(chosen), choices
 
 
-def select_green(
-    inst: SelectionInstance, eps: float, m: Optional[int]
-) -> Optional[tuple[tuple[int, ...], dict[Pair, object]]]:
+def select_green(inst: SelectionInstance, m: Optional[int]) -> Optional[Selection]:
     """Mirror image of select_red: elements must be valid for every earlier
     chosen index.  Implemented through the index reversal."""
-    _check_margins(inst, eps, "last")
-    res = select_red(reverse_instance(inst), eps, m)
+    res = select_red(reverse_instance(inst), m)
     if res is None:
         return None
     rev_indices, rev_choices = res
@@ -271,38 +230,28 @@ def select_green(
     return indices, choices
 
 
-def select_blue(
-    inst: SelectionInstance, eps: float, m: Optional[int]
-) -> Optional[tuple[tuple[int, ...], dict[Pair, object]]]:
+def select_blue(inst: SelectionInstance, m: Optional[int]) -> Optional[Selection]:
     """Middle-index pattern: the element for pair (r, t) must be valid for
     every chosen index strictly between r and t.
 
     Middles of a pair are already known when the pair is finalized, so the
     greedy scans indices in increasing order, adding an index whenever all
     its pair intersections are nonempty (least element chosen)."""
-    _check_margins(inst, eps, "outer")
     chosen: list[int] = []
     choices: dict[Pair, object] = {}
     for t in range(inst.size):
         picks: dict[Pair, object] = {}
-        ok = True
         for r in chosen:
             middles = [s for s in chosen if r < s < t]
-            pool = [
-                e
-                for e in inst.classes[(r, t)]
-                if all(e in inst.candidates[(r, s, t)] for s in middles)
-            ]
+            pool = [e for e in inst.classes[(r, t)] if all(e in inst.candidates[(r, s, t)] for s in middles)]
             if not pool:
-                ok = False
                 break
             picks[(r, t)] = pool[0]
-        if not ok:
-            continue
-        choices.update(picks)
-        chosen.append(t)
-        if m is not None and len(chosen) == m:
-            break
+        else:
+            choices.update(picks)
+            chosen.append(t)
+            if len(chosen) == m:
+                break
     if m is not None and len(chosen) < m:
         return None
     if not verify_selection(inst, chosen, choices, "outer"):
@@ -313,10 +262,35 @@ def select_blue(
 # ---------------------------------------------------------------------------
 # the end-to-end pipeline
 
+_STAGE_OF = {"first": "red", "outer": "blue", "last": "green"}
+
 
 def _check_floor(cset: frozenset, floor: float, stage: str) -> None:
     if len(cset) < floor - 1e-9:
         raise RuntimeError(f"{stage} candidate set has {len(cset)} elements, below {floor}")
+
+
+def _stage_instance(rh: ReducedHypergraph, index: Sequence[int], candidates: Callable[..., frozenset],
+                    fraction: float, anchor: str) -> SelectionInstance:
+    """A stage's instance over the positions of its increasing index tuple:
+    the class of every index pair, and the candidates of every index triple,
+    each checked once against fraction times the class of its anchor pair."""
+    pair_of, stage = _PAIR_OF[anchor], _STAGE_OF[anchor]
+    positions = range(len(index))
+    classes = {(a, b): tuple(range(rh.class_sizes[(index[a], index[b])]))
+               for a, b in combinations(positions, 2)}
+    cands: dict[Triple, frozenset] = {}
+    for a, b, c in combinations(positions, 3):
+        cset = candidates(index[a], index[b], index[c])
+        _check_floor(cset, fraction * len(classes[pair_of(a, b, c)]), stage)
+        cands[(a, b, c)] = cset
+    return SelectionInstance(len(index), classes, cands)
+
+
+def _on_indices(index: Sequence[int], result: Selection) -> Selection:
+    """A stage's position-keyed selection, keyed by the indices instead."""
+    positions, choices = result
+    return tuple(index[p] for p in positions), {(index[a], index[b]): e for (a, b), e in choices.items()}
 
 
 def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[CoreSelection]:
@@ -328,79 +302,44 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
     dense, worst = is_mu_dense(rh, mu)
     if not dense:
         raise MuDensityError(f"input is not {mu}-dense (worst constituent {worst})")
-    m = rh.m
 
-    classes = {
-        pair: tuple(range(rh.class_sizes[pair])) for pair in combinations(range(m), 2)
-    }
-    cand_red: dict[Triple, frozenset] = {}
-    for triple in combinations(range(m), 3):
-        i, j, k = triple
-        cset = red_candidates(rh, mu / 2, triple)
-        _check_floor(cset, mu / 2 * rh.class_sizes[(i, j)], "red")
-        cand_red[triple] = cset
-    res = select_red(SelectionInstance(m, classes, cand_red), mu / 2, None)
+    def red_of(i, j, k):
+        return red_candidates(rh, mu / 2, (i, j, k))
+
+    index = tuple(range(rh.m))
+    res = select_red(_stage_instance(rh, index, red_of, mu / 2, "first"), None)
     if res is None:
         raise RuntimeError("red selection without a target size failed")
-    X, reds = res
+    X, reds = _on_indices(index, res)
     if len(X) < f:
         return None
 
-    classes_blue = {
-        (a, b): tuple(range(rh.class_sizes[(X[a], X[b])]))
-        for a, b in combinations(range(len(X)), 2)
-    }
-    cand_blue: dict[Triple, frozenset] = {}
-    for a, b, c in combinations(range(len(X)), 3):
-        i, j, k = X[a], X[b], X[c]
-        p_red = reds[(i, j)]
-        threshold = mu / 4 * rh.class_sizes[(j, k)]
+    def blue_of(i, j, k):
+        p_red, threshold = reds[(i, j)], mu / 4 * rh.class_sizes[(j, k)]
         pair_counts = [0] * rh.class_sizes[(i, k)]
         for e in rh.edges_of((i, j, k)):
             if e[0] == p_red:
                 pair_counts[e[1]] += 1
-        cset = frozenset(q for q, cnt in enumerate(pair_counts) if cnt >= threshold)
-        _check_floor(cset, mu / 4 * rh.class_sizes[(i, k)], "blue")
-        cand_blue[(a, b, c)] = cset
-    res = select_blue(SelectionInstance(len(X), classes_blue, cand_blue), mu / 4, None)
+        return frozenset(q for q, cnt in enumerate(pair_counts) if cnt >= threshold)
+
+    res = select_blue(_stage_instance(rh, X, blue_of, mu / 4, "outer"), None)
     if res is None:
         raise RuntimeError("blue selection without a target size failed")
-    Y_pos, blues_pos = res
-    if len(Y_pos) < f:
+    W, blues = _on_indices(X, res)
+    if len(W) < f:
         return None
-    W = [X[p] for p in Y_pos]
-    blues = {(X[a], X[b]): e for (a, b), e in blues_pos.items()}
 
-    classes_green = {
-        (a, b): tuple(range(rh.class_sizes[(W[a], W[b])]))
-        for a, b in combinations(range(len(W)), 2)
-    }
-    cand_green: dict[Triple, frozenset] = {}
-    for a, b, c in combinations(range(len(W)), 3):
-        i, j, k = W[a], W[b], W[c]
-        p_red = reds[(i, j)]
-        q_blue = blues[(i, k)]
-        cset = frozenset(
-            e[2] for e in rh.edges_of((i, j, k)) if e[0] == p_red and e[1] == q_blue
-        )
-        _check_floor(cset, mu / 4 * rh.class_sizes[(j, k)], "green")
-        cand_green[(a, b, c)] = cset
-    res = select_green(SelectionInstance(len(W), classes_green, cand_green), mu / 4, f)
+    def green_of(i, j, k):
+        p_red, q_blue = reds[(i, j)], blues[(i, k)]
+        return frozenset(e[2] for e in rh.edges_of((i, j, k)) if e[0] == p_red and e[1] == q_blue)
+
+    res = select_green(_stage_instance(rh, W, green_of, mu / 4, "last"), f)
     if res is None:
         return None
-    Z_pos, greens_pos = res
-    lam = tuple(W[p] for p in Z_pos)
-    rank = {p: i for i, p in enumerate(Z_pos)}
+    lam, greens = _on_indices(W, res)
 
-    red = {}
-    blue = {}
-    green = {}
-    for a, b in combinations(range(f), 2):
-        red[(a, b)] = reds[(lam[a], lam[b])]
-        blue[(a, b)] = blues[(lam[a], lam[b])]
-    for (a, b), elem in greens_pos.items():
-        green[(rank[a], rank[b])] = elem
-
+    pairs = list(combinations(range(f), 2))
+    red, blue, green = ({(a, b): got[(lam[a], lam[b])] for a, b in pairs} for got in (reds, blues, greens))
     selection = CoreSelection(lam, red, blue, green)
     if not verify_core(rh, selection):
         raise RuntimeError("core selection does not verify")
@@ -410,9 +349,7 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
 def verify_core(rh: ReducedHypergraph, sel: CoreSelection) -> bool:
     """Recompute every C(f,3) membership test from scratch."""
     f = len(sel.indices)
-    if list(sel.indices) != sorted(set(sel.indices)):
-        return False
-    if any(i < 0 or i >= rh.m for i in sel.indices):
+    if list(sel.indices) != sorted(set(sel.indices)) or any(i < 0 or i >= rh.m for i in sel.indices):
         return False
     for a, b in combinations(range(f), 2):
         pair = (sel.indices[a], sel.indices[b])
@@ -432,57 +369,7 @@ def verify_core(rh: ReducedHypergraph, sel: CoreSelection) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# instances: random generation and JSON
-
-
-def random_reduced(
-    m: int,
-    class_size: int,
-    p: float,
-    seed: int,
-    mu: Optional[float] = None,
-    max_tries: int = 10_000,
-) -> ReducedHypergraph:
-    """Independent edge inclusion with probability p.  When mu is given,
-    each constituent is resampled until it meets the mu bound; density is
-    a per-constituent property, so this equals global rejection sampling
-    but terminates at desk scale."""
-    rng = derive_rng(seed, f"reduced/{m}/{class_size}/{p}")
-    sizes = {pair: class_size for pair in combinations(range(m), 2)}
-    cons: dict[Triple, set[ClassEdge]] = {}
-    for triple in combinations(range(m), 3):
-        need = 0 if mu is None else mu * class_size ** 3
-        for _ in range(max_tries):
-            edges = {
-                e
-                for e in product(range(class_size), repeat=3)
-                if rng.random() < p
-            }
-            if len(edges) >= need:
-                break
-        else:
-            raise RuntimeError(f"could not sample a constituent meeting mu={mu}")
-        cons[triple] = edges
-    return ReducedHypergraph.from_parts(m, sizes, cons)
-
-
-def complete_reduced(m: int, class_size: int) -> ReducedHypergraph:
-    sizes = {pair: class_size for pair in combinations(range(m), 2)}
-    full = set(product(range(class_size), repeat=3))
-    cons = {triple: set(full) for triple in combinations(range(m), 3)}
-    return ReducedHypergraph.from_parts(m, sizes, cons)
-
-
-def reduced_to_dict(rh: ReducedHypergraph) -> dict:
-    return {
-        "m": rh.m,
-        "class_size": {f"{i},{j}": s for (i, j), s in sorted(rh.class_sizes.items())},
-        "constituents": {
-            f"{i},{j},{k}": sorted(map(list, es))
-            for (i, j, k), es in sorted(rh.constituents.items())
-            if es
-        },
-    }
+# JSON
 
 
 def _json_object(value, what: str) -> dict:
@@ -528,9 +415,14 @@ def reduced_from_dict(data: dict) -> ReducedHypergraph:
     if "m" not in data or "class_size" not in data:
         raise ValueError('reduced hypergraph needs the keys "m" and "class_size"')
     m = _json_int(data["m"], "m")
+    if m > INDEX_LIMIT:
+        raise ValueError(f"reduced hypergraphs are limited to m <= {INDEX_LIMIT}, got m={m}")
     sizes = {}
     for key, s in _json_object(data["class_size"], "class_size").items():
         sizes[_index_key(key, 2, m, "class_size", sizes)] = _json_int(s, f"class_size[{key!r}]")
+        if s > CLASS_SIZE_LIMIT:
+            raise ValueError(f"class sizes are limited to <= {CLASS_SIZE_LIMIT}, "
+                             f"got class_size[{key!r}] = {s}")
     cons: dict[Triple, set[ClassEdge]] = {}
     for key, es in _json_object(data.get("constituents", {}), "constituents").items():
         what = f"constituents[{key!r}]"
@@ -579,6 +471,3 @@ def selection_from_dict(data: dict) -> CoreSelection:
 def parse_reduced_json(text: str) -> ReducedHypergraph:
     return reduced_from_dict(json.loads(text))
 
-
-def serialize_reduced_json(rh: ReducedHypergraph) -> str:
-    return json.dumps(reduced_to_dict(rh), indent=2) + "\n"

@@ -54,15 +54,6 @@ def kary_edge(k: int, vectors: Sequence[KaryVector]) -> bool:
     raise AssertionError("distinct vectors must differ somewhere")
 
 
-def vector_of(index: int, k: int, length: int) -> KaryVector:
-    """Base-k digits of a vertex index, most significant first."""
-    digits = []
-    for _ in range(length):
-        digits.append(index % k)
-        index //= k
-    return tuple(reversed(digits))
-
-
 def build_kary(k: int, n: int) -> Hypergraph:
     """Explicit depth-n host on k**n vertices (vertex = digit-string index).
 

@@ -5,7 +5,9 @@ The Gray-code scans are the loop implementations the numpy subset tables in
 order, updating edge counts incrementally, and break ties the same way the
 library does; the property tests require the two to agree exactly.
 ``triple_exact_by_x`` is the numpy three-set audit that took one X at a
-time, the one the blocks of X rows replaced.
+time, the one the blocks of X rows replaced.  ``edge_masks_without``
+gives each vertex the bitmasks of its edges less itself, for these scans
+and the heuristic references.
 """
 
 from __future__ import annotations
@@ -20,18 +22,29 @@ from hyperdense.density import (
     ProfileEntry,
     ProfileReport,
     _decode,
-    _edge_masks_without,
     _exact_report,
     size_floor,
 )
 from hyperdense.hypergraphs import Hypergraph
 
 
+def edge_masks_without(h: Hypergraph) -> list[list[int]]:
+    """Per vertex v, bitmasks of (edge minus v) for every edge through v."""
+    out: list[list[int]] = [[] for _ in range(h.n)]
+    for e in h.edges:
+        mask = 0
+        for v in e:
+            mask |= 1 << v
+        for v in e:
+            out[v].append(mask & ~(1 << v))
+    return out
+
+
 def vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     n = h.n
     penalty = query.eta * n ** h.k
     binom = [comb(s, h.k) for s in range(n + 1)]
-    others = _edge_masks_without(h)
+    others = edge_masks_without(h)
     best_slack = penalty  # empty subset
     best_mask = 0
     mask = size = inside = 0
@@ -159,7 +172,7 @@ def triple_exact_by_x(h: Hypergraph, query: DensityQuery) -> DensityReport:
 def profile_exact(h: Hypergraph, eta_grid: Sequence[float]) -> ProfileReport:
     n, k = h.n, h.k
     binom = [comb(s, k) for s in range(n + 1)]
-    others = _edge_masks_without(h)
+    others = edge_masks_without(h)
     per_size: list[tuple[float, int]] = [(inf, 0)] * (n + 1)  # (ratio, mask)
     mask = size = inside = 0
     for i in range(1, 1 << n):

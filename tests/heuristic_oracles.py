@@ -21,19 +21,20 @@ from hyperdense.density import (
     ProfileEntry,
     ProfileReport,
     _decode,
-    _edge_masks_without,
     _heuristic_report,
     size_floor,
 )
 from hyperdense.hypergraphs import Hypergraph
 from hyperdense.seeding import derive_rng
 
+from gray_oracles import edge_masks_without
+
 
 def vertex_heuristic(h: Hypergraph, query: DensityQuery) -> DensityReport:
     n = h.n
     binom = [comb(s, h.k) for s in range(n + 1)]
     penalty = query.eta * n ** h.k
-    others = _edge_masks_without(h)
+    others = edge_masks_without(h)
     best_slack = inf
     best_mask = 0
     steps_total = 0
@@ -96,7 +97,7 @@ def profile_heuristic(
 ) -> ProfileReport:
     n, k = h.n, h.k
     binom = [comb(s, k) for s in range(n + 1)]
-    others = _edge_masks_without(h)
+    others = edge_masks_without(h)
     entries = []
     for eta in eta_grid:
         floor = size_floor(eta, n, k)

@@ -6,7 +6,7 @@ tests every mask against each edge mask.  ``size_minima`` scans all
 2**(3**level) subsets of that host for the least edge count at each size.
 ``splits`` is the split enumeration the frequency decider used before it
 propagated labels: it lists every canonical labelling and only then tests
-each edge.
+each edge.  ``vector_of`` gives a vertex index's digit string.
 """
 
 from __future__ import annotations
@@ -16,7 +16,16 @@ from typing import Iterator
 import numpy as np
 
 from hyperdense.hypergraphs import Hypergraph
-from hyperdense.ternary import build_kary
+from hyperdense.ternary import KaryVector, build_kary
+
+
+def vector_of(index: int, k: int, length: int) -> KaryVector:
+    """Base-k digits of a vertex index, most significant first."""
+    digits = []
+    for _ in range(length):
+        digits.append(index % k)
+        index //= k
+    return tuple(reversed(digits))
 
 
 def edge_mask_counts(masks: np.ndarray, level: int) -> np.ndarray:

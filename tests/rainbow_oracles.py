@@ -13,6 +13,8 @@ vertices of the face's edge are placed.  It returns the same witness
 after more calls of its inner search.
 ``build_pattern_host`` is the construction the library used before it
 intersected colour bitmasks: it tests every k-set of [n].
+``serialize_pair_colouring`` writes the pair-colouring file format that
+``parse_pair_colouring`` reads.
 """
 
 from __future__ import annotations
@@ -185,3 +187,10 @@ def build_pattern_host(phi: PairColouring) -> Hypergraph:
         if all(phi.colours[_face_dropping(e, e[ell - 1])] == ell for ell in range(1, phi.k + 1)):
             edges.append(e)
     return Hypergraph(phi.k, phi.n, tuple(edges))
+
+
+def serialize_pair_colouring(phi: PairColouring) -> str:
+    lines = [f"{phi.k} {phi.n}"]
+    for face in sorted(phi.colours):
+        lines.append(" ".join(map(str, face)) + f" {phi.colours[face]}")
+    return "\n".join(lines) + "\n"

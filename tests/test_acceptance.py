@@ -39,12 +39,14 @@ from hyperdense import (
     vertex_density_check,
 )
 from hyperdense.rainbow import ShadowColouring
-from hyperdense.reduced import complete_reduced, random_reduced, reverse_instance, select_green, select_red
+from hyperdense.reduced import reverse_instance, select_green, select_red
 from hyperdense.reduced import SelectionInstance
 from hyperdense.seeding import derive_rng
-from hyperdense.ternary import classify_patterns, vector_of
+from hyperdense.ternary import classify_patterns
 
 from conftest import FIGURE_COLOURS, FIGURE_ORDER
+from kary_oracles import vector_of
+from reduced_oracles import complete_reduced, random_reduced
 
 
 def report(number: int, label: str, started: float) -> None:
@@ -290,8 +292,8 @@ def test_criterion_10_selection_soundness():
             for t in combinations(range(size), 3)
         }
         inst = SelectionInstance(size, classes, cands)
-        green = select_green(inst, 1 / 3, 3)
-        red = select_red(reverse_instance(inst), 1 / 3, 3)
+        green = select_green(inst, 3)
+        red = select_red(reverse_instance(inst), 3)
         if green is None:
             assert red is None
             continue

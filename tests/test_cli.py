@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import hyperdense
-from hyperdense import density, inequalities, parse_hypergraph, rainbow
+from hyperdense import density, inequalities, parse_hypergraph, rainbow, reduced
 from hyperdense.cli import _emit, main
-from hyperdense.reduced import complete_reduced, serialize_reduced_json
 
 from conftest import C5_MINUS_TEXT
+from reduced_oracles import complete_reduced, serialize_reduced_json
 
 K4_TEXT = "3 4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
 EMPTY10_TEXT = "3 10 0\n"
@@ -387,6 +387,52 @@ def test_reduced_verify_rejects_colour_keys_other_than_the_pairs(tmp_path, capsy
     assert err.startswith(f"error: {colour} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("data, line", [
+    ({"m": reduced.INDEX_LIMIT + 1, "class_size": {}},
+     f"reduced hypergraphs are limited to m <= {reduced.INDEX_LIMIT}, got m={reduced.INDEX_LIMIT + 1}"),
+    ({"m": 2, "class_size": {"0,1": reduced.CLASS_SIZE_LIMIT + 1}},
+     f"class sizes are limited to <= {reduced.CLASS_SIZE_LIMIT}, got class_size['0,1'] = {reduced.CLASS_SIZE_LIMIT + 1}"),
+])
+def test_reduced_rejects_sizes_past_the_limits(tmp_path, capsys, data, line):
+    path = write(tmp_path, "huge.json", json.dumps(data))
+    for argv in (["select", path], ["verify", path, "--selection", path]):
+        code, out, err = run(capsys, "reduced", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {line}"]
+
+
+def test_reduced_takes_sizes_at_the_limits(tmp_path, capsys):
+    path = write(tmp_path, "wide.json", json.dumps({"m": reduced.INDEX_LIMIT, "class_size": {}}))
+    code, _, err = run(capsys, "reduced", "select", path)
+    assert code == 2 and err == "error: class (0, 1) missing or empty\n"
+    path = write(tmp_path, "tall.json", json.dumps({"m": 2, "class_size": {"0,1": reduced.CLASS_SIZE_LIMIT}}))
+    code, out, _ = run(capsys, "reduced", "select", path, "--f", "3")
+    assert code == 1 and loads(out)["result"] == {"selection": "none"}
+
+
+def test_reduced_select_takes_density_exactly_mu(tmp_path, capsys):
+    # 7 of 1 x 5 x 5 class edges: density 0.28 exactly
+    edges = [[0, q, r] for q in range(5) for r in range(5)][:7]
+    data = {"m": 3, "class_size": {"0,1": 1, "0,2": 5, "1,2": 5}, "constituents": {"0,1,2": edges}}
+    path = write(tmp_path, "tie.json", json.dumps(data))
+    code, out, _ = run(capsys, "reduced", "select", path, "--mu", "0.28", "--f", "1")
+    assert code == 0
+    code, below, _ = run(capsys, "reduced", "select", path, "--mu", "0.2799", "--f", "1")
+    assert code == 0
+    assert loads(out)["result"] == loads(below)["result"]
+
+
+def test_reduced_select_none_reports_the_same_config(tmp_path, capsys):
+    path = write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(3, 1)))
+    code, found, _ = run(capsys, "reduced", "select", path, "--mu", "1.0", "--f", "3")
+    assert code == 0
+    code, none, _ = run(capsys, "reduced", "select", path, "--mu", "1.0", "--f", "4")
+    assert code == 1 and loads(none)["result"] == {"selection": "none"}
+    assert loads(none)["config"] == {**loads(found)["config"], "f": 4}
+    assert list(loads(none)["config"]) == list(loads(found)["config"])
+
+
 def test_verify_fact7(capsys):
     code, out, _ = run(capsys, "verify-fact7", "--resolution", "51")
     assert code == 0
@@ -468,6 +514,17 @@ def test_hom_count_and_embed(tmp_path, capsys):
     assert code == 1
 
 
+def test_embed_none_reports_the_same_config(tmp_path, capsys):
+    edge = write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")
+    c5 = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
+    code, found, _ = run(capsys, "embed", edge, c5)
+    assert code == 0
+    code, none, _ = run(capsys, "embed", c5, edge)
+    assert code == 1 and loads(none)["result"] == {"witness": "none"}
+    assert loads(none)["config"] == {**loads(found)["config"], "pattern": c5, "host": edge}
+    assert list(loads(none)["config"]) == list(loads(found)["config"])
+
+
 def test_reports_embed_config_and_seed(tmp_path, capsys):
     path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
     code, out, _ = run(capsys, "decide-pi1", path, "--seed", "99")
@@ -524,3 +581,20 @@ def test_failed_self_check_exits_4_under_optimize(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_reduced_floor_breach_exits_4_under_optimize(tmp_path):
+    # the stage floor is an explicit check: it holds under python -O too
+    path = write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(5, 2)))
+    script = (
+        "import sys\n"
+        "from hyperdense import cli, reduced\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        "reduced.red_candidates = lambda *args: frozenset()\n"
+        f"sys.exit(cli.main(['reduced', 'select', {path!r}, '--mu', '1.0', '--f', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: internal fault: RuntimeError: red candidate set has 0 elements, below 1.0\n"

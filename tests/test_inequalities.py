@@ -17,8 +17,9 @@ from hyperdense import (
 )
 from hyperdense import inequalities
 from hyperdense.inequalities import density_floor
-from hyperdense.ternary import kary_hom_counts, vector_of
+from hyperdense.ternary import kary_hom_counts
 from inequality_oracles import grid_gaps, grid_scan
+from kary_oracles import vector_of
 
 
 # --- the exponent constants ----------------------------------------------------

@@ -22,12 +22,12 @@ from hyperdense.rainbow import (
     COLOUR_NAMES,
     ShadowColouring,
     parse_pair_colouring,
-    serialize_pair_colouring,
     witness_to_dict,
 )
 from hyperdense.seeding import derive_rng
 
 from conftest import FIGURE_COLOURS, FIGURE_ORDER
+from rainbow_oracles import serialize_pair_colouring
 
 
 def naive_orderable(pattern, order):

@@ -1,6 +1,10 @@
-from itertools import combinations
+from decimal import Decimal
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperdense import (
     CoreSelection,
@@ -12,11 +16,7 @@ from hyperdense import (
 )
 from hyperdense.reduced import (
     SelectionInstance,
-    SelectionInputError,
-    complete_reduced,
-    degree,
     parse_reduced_json,
-    random_reduced,
     red_candidates,
     reverse_instance,
     select_blue,
@@ -24,10 +24,11 @@ from hyperdense.reduced import (
     select_red,
     selection_from_dict,
     selection_to_dict,
-    serialize_reduced_json,
     verify_selection,
 )
 from hyperdense.seeding import derive_rng
+
+from reduced_oracles import complete_reduced, degree, random_reduced, serialize_reduced_json
 
 
 def build_instance(size, class_elems, cand):
@@ -58,6 +59,42 @@ def test_empty_constituent_fails_density():
     rh = ReducedHypergraph(4, rh.class_sizes, cons)
     dense, worst = is_mu_dense(rh, 0.1)
     assert not dense and worst == (0, 2, 3)
+
+
+def one_constituent(sizes, edges):
+    a, b, c = sizes
+    return ReducedHypergraph.from_parts(3, {(0, 1): a, (0, 2): b, (1, 2): c}, {(0, 1, 2): set(edges)})
+
+
+def test_density_exactly_mu_is_dense():
+    # 7 of 1 x 5 x 5 class edges: density 0.28 exactly, while 0.28 * 25 is
+    # 7.000000000000001 in floats
+    rh = one_constituent((1, 5, 5), [(0, q, r) for q in range(5) for r in range(5)][:7])
+    assert is_mu_dense(rh, 0.28) == (True, (0, 1, 2))
+    assert not is_mu_dense(rh, 0.2801)[0]
+    sel = select_rainbow_core(rh, 0.28, 1)
+    assert sel is not None and verify_core(rh, sel)
+
+
+# sizes from products of 2s and 5s, so every count / product is a short decimal
+tie_sizes = st.tuples(*[st.sampled_from((1, 2, 4, 5, 8, 10))] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_sizes, st.data())
+def test_mu_density_ties_count_as_dense(sizes, data):
+    a, b, c = sizes
+    count = data.draw(st.integers(0, a * b * c))
+    mu = float(Decimal(count) / Decimal(a * b * c))
+    assert Fraction(str(mu)) == Fraction(count, a * b * c)  # the density is exactly mu
+    edges = data.draw(st.permutations(list(product(range(a), range(b), range(c)))))[:count]
+    rh = one_constituent(sizes, edges)
+    assert is_mu_dense(rh, mu) == (True, (0, 1, 2))
+    if count:
+        assert not is_mu_dense(one_constituent(sizes, edges[1:]), mu)[0]
+    # the stage floors hold at a tie too: no internal fault
+    sel = select_rainbow_core(rh, mu, data.draw(st.integers(1, 3)))
+    assert sel is None or verify_core(rh, sel)
 
 
 def test_random_half_density_usually_quarter_dense():
@@ -126,7 +163,7 @@ def test_red_candidates_meet_averaging_bound():
 def test_select_red_full_candidates_takes_prefix():
     inst = full_instance(6, 3)
     for m in (1, 3, 6):
-        res = select_red(inst, 1.0, m)
+        res = select_red(inst, m)
         assert res is not None
         indices, choices = res
         assert indices == tuple(range(m))
@@ -135,19 +172,13 @@ def test_select_red_full_candidates_takes_prefix():
 
 def test_select_red_maximal_mode():
     inst = full_instance(5, 2)
-    indices, choices = select_red(inst, 1.0, None)
+    indices, choices = select_red(inst, None)
     assert indices == tuple(range(5))
-
-
-def test_select_red_rejects_margin_violation():
-    inst = build_instance(4, (0, 1, 2, 3), lambda t: [0])
-    with pytest.raises(SelectionInputError):
-        select_red(inst, 0.5, 2)
 
 
 def test_select_red_honest_failure_when_m_too_large():
     inst = full_instance(3, 2)
-    assert select_red(inst, 1.0, 5) is None
+    assert select_red(inst, 5) is None
 
 
 def test_select_red_random_instances_verify():
@@ -159,7 +190,7 @@ def test_select_red_random_instances_verify():
             elems,
             lambda t: [e for e in elems if rng.random() < 0.8] or [rng.choice(elems)],
         )
-        res = select_red(inst, 1 / 3, 3)
+        res = select_red(inst, 3)
         if res is not None:
             indices, choices = res
             assert verify_selection(inst, indices, choices, "first")
@@ -182,8 +213,8 @@ def test_select_green_equals_manually_reversed_red():
             lambda t: [e for e in elems if rng.random() < 0.75] or [rng.choice(elems)],
         )
         m = rng.randint(2, 4)
-        green = select_green(inst, 1 / 3, m)
-        red_on_reversed = select_red(reverse_instance(inst), 1 / 3, m)
+        green = select_green(inst, m)
+        red_on_reversed = select_red(reverse_instance(inst), m)
         if green is None:
             assert red_on_reversed is None
             continue
@@ -196,11 +227,11 @@ def test_select_green_equals_manually_reversed_red():
 
 def test_select_blue_full_and_tiny():
     inst = full_instance(6, 2)
-    res = select_blue(inst, 1.0, 4)
+    res = select_blue(inst, 4)
     assert res is not None
     indices, choices = res
     assert len(indices) == 4
-    res = select_blue(inst, 1.0, 2)  # no middle index exists
+    res = select_blue(inst, 2)  # no middle index exists
     assert res is not None and len(res[0]) == 2
 
 
@@ -212,7 +243,7 @@ def test_select_blue_full_and_tiny():
 def test_verify_selection_rejects_one_broken_element(select, anchor, pair):
     # only element 0 of the class {0, 1} is a candidate of the triple (0, 1, 2)
     inst = build_instance(4, (0, 1), lambda t: (0,) if t == (0, 1, 2) else (0, 1))
-    indices, choices = select(inst, 0.5, None)
+    indices, choices = select(inst, None)
     assert indices == (0, 1, 2, 3) and choices[pair] == 0
     assert verify_selection(inst, indices, choices, anchor)
     # 1 leaves the triple's candidates, 2 leaves the class, None leaves the pair without an element
@@ -247,6 +278,14 @@ def test_pipeline_rejects_sparse_input():
         select_rainbow_core(ReducedHypergraph(4, rh.class_sizes, cons), 0.5, 3)
 
 
+STAGE_FAULTS = {
+    "select_red": "^red selection without a target size failed$",
+    "select_blue": "^blue selection without a target size failed$",
+    # the red floor, mu/2 of a 2-vertex class
+    "red_candidates": "^red candidate set has 0 elements, below 1.0$",
+}
+
+
 @pytest.mark.parametrize(
     "stage, value",
     [("select_red", None), ("select_blue", None), ("red_candidates", frozenset())],
@@ -254,8 +293,38 @@ def test_pipeline_rejects_sparse_input():
 def test_pipeline_stage_fault_raises_runtime_error(monkeypatch, stage, value):
     # explicit checks, not asserts: they must also hold under python -O
     monkeypatch.setattr(f"hyperdense.reduced.{stage}", lambda *args: value)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=STAGE_FAULTS[stage]):
         select_rainbow_core(complete_reduced(5, 2), 1.0, 3)
+
+
+def keep_only(rh, keep):
+    """rh with each constituent cut down to the class edges keep accepts."""
+    cons = {t: frozenset(e for e in es if keep(e)) for t, es in rh.constituents.items()}
+    return ReducedHypergraph(rh.m, rh.class_sizes, cons)
+
+
+def test_blue_floor_breach_names_the_blue_stage(monkeypatch):
+    # red vertex 0 has no edge, so its blue candidates are empty; admitting
+    # it as a red candidate lets the greedy pick it on its tie
+    rh = keep_only(complete_reduced(5, 2), lambda e: e[0] == 1)
+    assert red_candidates(rh, 0.25, (0, 1, 2)) == frozenset({1})
+    monkeypatch.setattr("hyperdense.reduced.red_candidates", lambda *args: frozenset({0, 1}))
+    with pytest.raises(RuntimeError, match="^blue candidate set has 0 elements, below 0.25$"):
+        select_rainbow_core(rh, 0.5, 3)
+
+
+def test_green_floor_breach_names_the_green_stage(monkeypatch):
+    # only blue vertex 1 completes an edge; a blue stage that picks 0 leaves
+    # every green candidate set empty
+    rh = keep_only(complete_reduced(5, 2), lambda e: e[1] == 1)
+
+    def pick_zero(inst, m):
+        indices, choices = select_blue(inst, m)
+        return indices, dict.fromkeys(choices, 0)
+
+    monkeypatch.setattr("hyperdense.reduced.select_blue", pick_zero)
+    with pytest.raises(RuntimeError, match="^green candidate set has 0 elements, below 0.25$"):
+        select_rainbow_core(rh, 0.5, 3)
 
 
 def test_pipeline_random_instances_no_unverified_success():

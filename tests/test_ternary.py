@@ -16,7 +16,9 @@ from hyperdense import (
     kary_edge_count,
     verify_kary_embedding,
 )
-from hyperdense.ternary import EmbeddingWitness, embedding_to_dict, vector_of
+from hyperdense.ternary import EmbeddingWitness, embedding_to_dict
+
+from kary_oracles import vector_of
 
 
 # --- the edge rule -------------------------------------------------------------
