@@ -170,7 +170,7 @@ def cmd_reduced(args) -> int:
         raise ValueError("reduced verify needs --selection FILE")
     sel = reduced.selection_from_dict(json.loads(Path(args.selection).read_text()))
     valid = reduced.verify_core(rh, sel)
-    _emit(_envelope(args, "reduced", {"valid": valid}, file=args.file), args)
+    _emit(_envelope(args, "reduced", {"valid": valid}, file=args.file, selection=args.selection), args)
     return EXIT_OK if valid else EXIT_NEGATIVE
 
 

@@ -8,6 +8,13 @@ blue, and a green class vertex so that along every selected triple
 r < s < t the vertices (red(r,s), blue(r,t), green(s,t)) form a
 constituent edge.
 
+The constituents are kept as two flat integer columns: the edges of the
+t-th triple of combinations(range(m), 3) are codes[offsets[t]:offsets[t+1]],
+each class edge (p, q, r) of (i, j, k) coded as (p |P^{ik}| + q) |P^{jk}| + r
+and sorted.  Building, parsing and verifying stay in pure Python; the
+selection views the columns through numpy and computes each stage's
+candidate table for every triple at once.
+
 The selections follow the staged degree-threshold mechanism greedily
 (keep the choice that leaves the most future indices alive, ties broken
 by least element).  The guarantees behind the mechanism hold only for
@@ -18,26 +25,32 @@ this module.
 The input's mu-density is checked exactly, against the decimal that mu
 names.  On a mu-dense input every stage's candidate sets meet their floor
 (mu/2 of the anchored class for red, mu/4 for blue and green); the
-pipeline checks each floor once, as it builds the stage, and reports a
+pipeline checks each floor once, on the stage's table, and reports a
 breach as an internal fault (RuntimeError), not as an input error.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from math import comb
+from typing import TYPE_CHECKING, Collection, Optional, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Pair = tuple[int, int]
 Triple = tuple[int, int, int]
 ClassEdge = tuple[int, int, int]  # (vertex in P^{ij}, in P^{ik}, in P^{jk})
 Selection = tuple[tuple[int, ...], dict[Pair, object]]  # chosen indices, element per pair
 
-# Input sizes reduced_from_dict accepts.  Each stage holds a candidate set
-# per index triple, about C(m, 3) times the class size elements; with every
-# class at the limit and mu = 0, select takes about 2.5 s and 130 MB.
+# Input sizes reduced_from_dict accepts.  A stage's table holds a count per
+# index triple and class vertex, about C(m, 3) times the class size entries;
+# with every class at both limits, mu = 0 and no edges, select takes about
+# 2 s, and the whole process peaks at about 66 MB.
 INDEX_LIMIT = 64
 CLASS_SIZE_LIMIT = 64
 
@@ -46,52 +59,64 @@ class MuDensityError(ValueError):
     """Input reduced hypergraph misses the required constituent density."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ReducedHypergraph:
+    """Class sizes per index pair and the constituents as flat columns:
+    the codes of the t-th triple of combinations(range(m), 3) are
+    codes[offsets[t]:offsets[t + 1]], one per class edge, sorted."""
+
     m: int
     class_sizes: dict[Pair, int]
-    constituents: dict[Triple, frozenset[ClassEdge]]
+    offsets: array = field(repr=False)
+    codes: array = field(repr=False)
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, m: int, class_sizes: dict[Pair, int],
+                 constituents: dict[Triple, Collection[Sequence[int]]]):
+        """Validate and encode: constituents maps sorted index triples to
+        their class edges (p, q, r); a triple it lacks has no edges."""
+        if m < 2:
             raise ValueError("need at least two indices")
-        for pair in combinations(range(self.m), 2):
-            size = self.class_sizes.get(pair)
+        for pair in combinations(range(m), 2):
+            size = class_sizes.get(pair)
             if size is None or size < 1:
                 raise ValueError(f"class {pair} missing or empty")
-        for triple in combinations(range(self.m), 3):
+        offsets, codes = array("q", [0]), array("q")
+        for triple in combinations(range(m), 3):
             i, j, k = triple
-            edges = self.constituents.get(triple, frozenset())
-            for p, q, r in edges:
-                if not (
-                    0 <= p < self.class_sizes[(i, j)]
-                    and 0 <= q < self.class_sizes[(i, k)]
-                    and 0 <= r < self.class_sizes[(j, k)]
-                ):
-                    raise ValueError(f"constituent edge {(p, q, r)} outside classes of {triple}")
+            a, b, c = class_sizes[(i, j)], class_sizes[(i, k)], class_sizes[(j, k)]
+            edges = constituents.get(triple, ())
+            try:
+                kept = [(p * b + q) * c + r for p, q, r in edges if 0 <= p < a and 0 <= q < b and 0 <= r < c]
+            except ValueError:  # an edge of another arity
+                kept = []
+            if len(kept) < len(edges):
+                bad = min(tuple(e) for e in edges
+                          if len(e) != 3 or not (0 <= e[0] < a and 0 <= e[1] < b and 0 <= e[2] < c))
+                raise ValueError(f"constituent edge {bad} "
+                                 f"{'outside classes' if len(bad) == 3 else 'of the wrong arity'} of {triple}")
+            codes.extend(sorted(set(kept)))
+            offsets.append(len(codes))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "class_sizes", class_sizes)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "codes", codes)
 
     @classmethod
     def from_parts(
-        cls, m: int, class_sizes: dict[Pair, int], constituents: dict[Triple, set[ClassEdge]]
+        cls, m: int, class_sizes: dict[Pair, int], constituents: dict[Triple, Collection[Sequence[int]]]
     ) -> "ReducedHypergraph":
-        full_sizes = {tuple(sorted(p)): s for p, s in class_sizes.items()}
-        # one tuple object per distinct class edge: constituents over small
-        # classes repeat the same few edges thousands of times
-        shared: dict[ClassEdge, ClassEdge] = {}
-        full_cons = {
-            tuple(sorted(t)): frozenset(shared.setdefault(e, e) for e in map(tuple, es))
-            for t, es in constituents.items()
-        }
-        for triple in combinations(range(m), 3):
-            full_cons.setdefault(triple, frozenset())
-        return cls(m, full_sizes, full_cons)
+        """The constructor on keys in any order."""
+        return cls(m, {tuple(sorted(p)): s for p, s in class_sizes.items()},
+                   {tuple(sorted(t)): es for t, es in constituents.items()})
 
     def edges_of(self, triple: Triple) -> frozenset[ClassEdge]:
-        return self.constituents.get(tuple(sorted(triple)), frozenset())
-
-    def class_product(self, triple: Triple) -> int:
+        """The class edges (p, q, r) of a triple, its indices in any order."""
         i, j, k = sorted(triple)
-        return self.class_sizes[(i, j)] * self.class_sizes[(i, k)] * self.class_sizes[(j, k)]
+        if not 0 <= i < j < k < self.m:
+            raise ValueError(f"triple {triple} must name three distinct indices in [0, {self.m})")
+        b, c = self.class_sizes[(i, k)], self.class_sizes[(j, k)]
+        t = comb(self.m, 3) - comb(self.m - i, 3) + comb(self.m - 1 - i, 2) - comb(self.m - j, 2) + k - j - 1
+        return frozenset((x // c // b, x // c % b, x % c) for x in self.codes[self.offsets[t]:self.offsets[t + 1]])
 
 
 @dataclass(frozen=True)
@@ -104,28 +129,70 @@ class CoreSelection:
     green: dict[Pair, int]
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """A reduced hypergraph viewed through numpy, for the whole-stage tables.
+
+    m and class_sizes are the hypergraph's.  Row t of triples and of sizes
+    is the t-th triple (i, j, k) of combinations(range(m), 3) and its class
+    sizes |P^{ij}|, |P^{ik}|, |P^{jk}|.  Entry e of triple_of and of each
+    array in vertices belongs to one class edge: its triple's row and its
+    vertices p, q, r.  width is the largest class size, the padded width of
+    every stage table."""
+
+    m: int
+    class_sizes: dict[Pair, int]
+    triples: "np.ndarray"
+    sizes: "np.ndarray"
+    triple_of: "np.ndarray"
+    vertices: tuple["np.ndarray", "np.ndarray", "np.ndarray"]
+    width: int
+
+
+def _columns(rh: ReducedHypergraph) -> _Columns:
+    """The columns of rh decoded into numpy arrays, once per call of the pipeline."""
+    import numpy as np
+
+    m = rh.m
+    size_of = np.zeros((m, m), np.int64)
+    size_of[np.triu_indices(m, 1)] = [rh.class_sizes[pair] for pair in combinations(range(m), 2)]
+    at = np.arange(m)
+    # nonzero lists the triples i < j < k in C order, which is combinations order
+    i, j, k = np.nonzero((at[:, None, None] < at[:, None]) & (at[:, None] < at))
+    sizes = np.stack([size_of[i, j], size_of[i, k], size_of[j, k]], axis=1)
+    triple_of = np.repeat(np.arange(len(i)), np.diff(np.frombuffer(rh.offsets, np.int64)))
+    codes = np.frombuffer(rh.codes, np.int64)
+    bc, c = (sizes[:, 1] * sizes[:, 2])[triple_of], sizes[:, 2][triple_of]
+    p = codes // bc
+    qr = codes - p * bc
+    q = qr // c
+    return _Columns(m, rh.class_sizes, np.stack([i, j, k], axis=1), sizes, triple_of,
+                    (p, q, qr - q * c), int(size_of.max()))
+
+
+def _mu_density(cols: _Columns, mu: float) -> tuple[bool, Optional[Triple]]:
+    import numpy as np
+
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError("mu must lie in [0, 1]")
+    bound = Fraction(str(mu))
+    counts = np.bincount(cols.triple_of, minlength=len(cols.triples))
+    products = cols.sizes.prod(axis=1)
+    # per distinct class product, only its least count can miss the bound;
+    # those are compared exactly, as Python ints
+    order = np.lexsort((counts, products))
+    least = order[np.unique(products[order], return_index=True)[1]]
+    dense = all(count * bound.denominator >= bound.numerator * product
+                for count, product in zip(counts[least].tolist(), products[least].tolist()))
+    worst = tuple(cols.triples[np.argmin(counts / products)].tolist()) if len(counts) else None
+    return dense, worst
+
+
 def is_mu_dense(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple]]:
     """Whether every constituent has density >= mu, compared exactly against
     the decimal that mu names; also the worst triple (None when m < 3 and
     there are no constituents at all)."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    bound = Fraction(str(mu))
-    triples = list(combinations(range(rh.m), 3))
-    sizes = {t: (len(rh.edges_of(t)), rh.class_product(t)) for t in triples}
-    dense = all(count * bound.denominator >= bound.numerator * prod for count, prod in sizes.values())
-    return dense, min(triples, key=lambda t: sizes[t][0] / sizes[t][1], default=None)
-
-
-def red_candidates(rh: ReducedHypergraph, mu_prime: float, triple: Triple) -> frozenset[int]:
-    """Vertices of P^{ij} whose degree in the constituent meets the
-    mu' * |P^{ik}| * |P^{jk}| threshold."""
-    i, j, k = sorted(triple)
-    threshold = mu_prime * rh.class_sizes[(i, k)] * rh.class_sizes[(j, k)]
-    counts = [0] * rh.class_sizes[(i, j)]
-    for e in rh.edges_of((i, j, k)):
-        counts[e[0]] += 1
-    return frozenset(p for p, c in enumerate(counts) if c >= threshold)
+    return _mu_density(_columns(rh), mu)
 
 
 # ---------------------------------------------------------------------------
@@ -262,28 +329,82 @@ def select_blue(inst: SelectionInstance, m: Optional[int]) -> Optional[Selection
 # ---------------------------------------------------------------------------
 # the end-to-end pipeline
 
-_STAGE_OF = {"first": "red", "outer": "blue", "last": "green"}
+# per stage: the slot of the class edge (p, q, r) whose vertex it picks, which
+# is also the pair of a triple (i, j, k) whose class anchors its floor, and
+# the d of that floor, mu/d times the class
+_STAGES = {"red": (0, 2), "blue": (1, 4), "green": (2, 4)}
+_SLOT_PAIRS = ((0, 1), (0, 2), (1, 2))  # slot -> its index pair, as columns of a triple
 
 
-def _check_floor(cset: frozenset, floor: float, stage: str) -> None:
-    if len(cset) < floor - 1e-9:
-        raise RuntimeError(f"{stage} candidate set has {len(cset)} elements, below {floor}")
+def _stage_table(cols: _Columns, stage: str, index: Sequence[int], mu: float,
+                 picks: Sequence[dict[Pair, int]]) -> tuple["np.ndarray", "np.ndarray"]:
+    """The stage's candidates for every triple of the increasing index tuple.
+
+    Returns the triples' rows of cols, in combinations order, and a boolean
+    table with one row per triple and one column per vertex v of the
+    stage's class (padded to cols.width, padding never a candidate).  picks
+    holds the vertices chosen by the earlier stages, per index pair; a
+    stage counts only the edges through them.  red: the p with at least
+    (mu/2 |P^{ik}|) |P^{jk}| edges; blue: the q with at least mu/4 |P^{jk}|
+    edges through the red vertex; green: the r of an edge through the red
+    and blue vertices."""
+    import numpy as np
+
+    slot = _STAGES[stage][0]
+    member = np.zeros(cols.m, bool)
+    member[list(index)] = True
+    rows = np.flatnonzero(member[cols.triples].all(axis=1))
+    row_of = np.full(len(cols.triples), -1)
+    row_of[rows] = np.arange(len(rows))
+    edges = np.flatnonzero(row_of[cols.triple_of] >= 0)
+    for s, chosen in enumerate(picks):
+        pick = np.full((cols.m, cols.m), -1)
+        for (x, y), v in chosen.items():
+            pick[x, y] = v
+        a, b = _SLOT_PAIRS[s]
+        want = pick[cols.triples[:, a], cols.triples[:, b]]
+        edges = edges[cols.vertices[s][edges] == want[cols.triple_of[edges]]]
+    width = cols.width
+    counts = np.bincount(row_of[cols.triple_of[edges]] * width + cols.vertices[slot][edges],
+                         minlength=len(rows) * width).reshape(len(rows), width)
+    sizes = cols.sizes[rows]
+    if stage == "red":
+        threshold = mu / 2 * sizes[:, 1] * sizes[:, 2]
+    elif stage == "blue":
+        threshold = mu / 4 * sizes[:, 2]
+    else:
+        threshold = np.ones(len(rows))
+    return rows, (counts >= threshold[:, None]) & (np.arange(width) < sizes[:, slot, None])
 
 
-def _stage_instance(rh: ReducedHypergraph, index: Sequence[int], candidates: Callable[..., frozenset],
-                    fraction: float, anchor: str) -> SelectionInstance:
+def _stage_instance(cols: _Columns, stage: str, index: Sequence[int], mu: float,
+                    picks: Sequence[dict[Pair, int]]) -> SelectionInstance:
     """A stage's instance over the positions of its increasing index tuple:
     the class of every index pair, and the candidates of every index triple,
-    each checked once against fraction times the class of its anchor pair."""
-    pair_of, stage = _PAIR_OF[anchor], _STAGE_OF[anchor]
+    each checked once against mu/2 (red) or mu/4 (blue, green) times the
+    class of its anchor pair."""
+    import numpy as np
+
+    slot, d = _STAGES[stage]
+    rows, table = _stage_table(cols, stage, index, mu, picks)
+    held = table.sum(axis=1)
+    floor = mu / d * cols.sizes[rows, slot]
+    breach = np.flatnonzero(held < floor - 1e-9)
+    if len(breach):
+        t = breach[0]
+        raise RuntimeError(f"{stage} candidate set has {int(held[t])} elements, below {float(floor[t])}")
     positions = range(len(index))
-    classes = {(a, b): tuple(range(rh.class_sizes[(index[a], index[b])]))
+    classes = {(a, b): tuple(range(cols.class_sizes[(index[a], index[b])]))
                for a, b in combinations(positions, 2)}
-    cands: dict[Triple, frozenset] = {}
-    for a, b, c in combinations(positions, 3):
-        cset = candidates(index[a], index[b], index[c])
-        _check_floor(cset, fraction * len(classes[pair_of(a, b, c)]), stage)
-        cands[(a, b, c)] = cset
+    # each row's bits as one bytes key (numpy drops its trailing zero bytes);
+    # one frozenset per distinct key, shared by every triple that has it
+    packed = np.packbits(table, axis=1, bitorder="little")
+    keys = packed.view(f"S{packed.shape[1]}").reshape(-1).tolist()
+    sets = {}
+    for key in set(keys):
+        bits = int.from_bytes(key, "little")
+        sets[key] = frozenset(v for v in range(cols.width) if bits >> v & 1)
+    cands = dict(zip(combinations(positions, 3), map(sets.__getitem__, keys)))
     return SelectionInstance(len(index), classes, cands)
 
 
@@ -299,41 +420,27 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
     direct membership sets.  Success is verified; failure is honest."""
     if f < 1:
         raise ValueError("need f >= 1")
-    dense, worst = is_mu_dense(rh, mu)
+    cols = _columns(rh)
+    dense, worst = _mu_density(cols, mu)
     if not dense:
         raise MuDensityError(f"input is not {mu}-dense (worst constituent {worst})")
 
-    def red_of(i, j, k):
-        return red_candidates(rh, mu / 2, (i, j, k))
-
     index = tuple(range(rh.m))
-    res = select_red(_stage_instance(rh, index, red_of, mu / 2, "first"), None)
+    res = select_red(_stage_instance(cols, "red", index, mu, ()), None)
     if res is None:
         raise RuntimeError("red selection without a target size failed")
     X, reds = _on_indices(index, res)
     if len(X) < f:
         return None
 
-    def blue_of(i, j, k):
-        p_red, threshold = reds[(i, j)], mu / 4 * rh.class_sizes[(j, k)]
-        pair_counts = [0] * rh.class_sizes[(i, k)]
-        for e in rh.edges_of((i, j, k)):
-            if e[0] == p_red:
-                pair_counts[e[1]] += 1
-        return frozenset(q for q, cnt in enumerate(pair_counts) if cnt >= threshold)
-
-    res = select_blue(_stage_instance(rh, X, blue_of, mu / 4, "outer"), None)
+    res = select_blue(_stage_instance(cols, "blue", X, mu, (reds,)), None)
     if res is None:
         raise RuntimeError("blue selection without a target size failed")
     W, blues = _on_indices(X, res)
     if len(W) < f:
         return None
 
-    def green_of(i, j, k):
-        p_red, q_blue = reds[(i, j)], blues[(i, k)]
-        return frozenset(e[2] for e in rh.edges_of((i, j, k)) if e[0] == p_red and e[1] == q_blue)
-
-    res = select_green(_stage_instance(rh, W, green_of, mu / 4, "last"), f)
+    res = select_green(_stage_instance(cols, "green", W, mu, (reds, blues)), f)
     if res is None:
         return None
     lam, greens = _on_indices(W, res)

@@ -317,6 +317,7 @@ def test_reduced_select_and_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "reduced", "verify", path, "--selection", sel_path)
     assert code == 0
     assert loads(out)["result"]["valid"] is True
+    assert loads(out)["config"] == {"seed": 0, "threads": 1, "file": path, "selection": sel_path}
 
 
 def test_reduced_select_rejects_sparse(tmp_path, capsys):
@@ -590,7 +591,8 @@ def test_reduced_floor_breach_exits_4_under_optimize(tmp_path):
         "import sys\n"
         "from hyperdense import cli, reduced\n"
         "assert False, 'python -O did not strip asserts'\n"
-        "reduced.red_candidates = lambda *args: frozenset()\n"
+        "table = reduced._stage_table\n"
+        "reduced._stage_table = lambda *args: (table(*args)[0], table(*args)[1] & False)\n"
         f"sys.exit(cli.main(['reduced', 'select', {path!r}, '--mu', '1.0', '--f', '3']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))

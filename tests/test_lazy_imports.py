@@ -115,6 +115,41 @@ def test_cli_heuristic_audit_loads_numpy_and_decider_does_not(tmp_path, argv, nu
     assert loaded is numpy_loaded
 
 
+# The staged selection builds its candidate tables in numpy; parsing a
+# reduced hypergraph and verifying a selection stay in pure Python.
+@pytest.mark.parametrize("action, numpy_loaded", [("select", True), ("verify", False)])
+def test_reduced_select_loads_numpy_and_verify_does_not(tmp_path, action, numpy_loaded):
+    reduced = tmp_path / "reduced.json"
+    reduced.write_text(json.dumps({"m": 3, "class_size": {"0,1": 1, "0,2": 1, "1,2": 1},
+                                   "constituents": {"0,1,2": [[0, 0, 0]]}}))
+    selection = tmp_path / "sel.json"
+    selection.write_text(json.dumps({"lambda": [0, 1, 2], "red": {"0,1": 0, "0,2": 0, "1,2": 0},
+                                     "blue": {"0,1": 0, "0,2": 0, "1,2": 0},
+                                     "green": {"0,1": 0, "0,2": 0, "1,2": 0}}))
+    argv = ["reduced", action, str(reduced), "--mu", "1.0", "--f", "3", "--selection", str(selection)]
+    script = (
+        "import json, sys\n"
+        "from hyperdense import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    proc = fresh(script)
+    assert json.loads(proc.stderr) == [0, numpy_loaded]
+    assert json.loads(proc.stdout)["command"] == "reduced"
+
+
+def test_parse_reduced_json_does_not_load_numpy():
+    text = json.dumps({"m": 3, "class_size": {"0,1": 2, "0,2": 2, "1,2": 2}, "constituents": {"0,1,2": [[1, 0, 1]]}})
+    script = (
+        "import json, sys\n"
+        "from hyperdense.reduced import parse_reduced_json\n"
+        f"rh = parse_reduced_json({text!r})\n"
+        "print(json.dumps([sorted(rh.edges_of((0, 1, 2))), 'numpy' in sys.modules]))\n"
+    )
+    proc = fresh(script)
+    assert json.loads(proc.stdout) == [[[1, 0, 1]], False]
+
+
 def test_cli_numpy_command_in_fresh_process():
     script = (
         "import json, sys\n"

@@ -1,3 +1,4 @@
+import json
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -14,10 +15,10 @@ from hyperdense import (
     select_rainbow_core,
     verify_core,
 )
+from hyperdense import reduced
 from hyperdense.reduced import (
     SelectionInstance,
     parse_reduced_json,
-    red_candidates,
     reverse_instance,
     select_blue,
     select_green,
@@ -28,7 +29,7 @@ from hyperdense.reduced import (
 )
 from hyperdense.seeding import derive_rng
 
-from reduced_oracles import complete_reduced, degree, random_reduced, serialize_reduced_json
+from reduced_oracles import complete_reduced, degree, random_reduced, reduced_to_dict, serialize_reduced_json
 
 
 def build_instance(size, class_elems, cand):
@@ -40,6 +41,17 @@ def build_instance(size, class_elems, cand):
 def full_instance(size, class_size):
     elems = tuple(range(class_size))
     return build_instance(size, elems, lambda t: elems)
+
+
+def constituents(rh):
+    """Every constituent of rh, as edges_of gives it."""
+    return {t: rh.edges_of(t) for t in combinations(range(rh.m), 3)}
+
+
+def red_sets(rh, mu):
+    """The red stage's candidate set of every triple, from its table."""
+    rows, table = reduced._stage_table(reduced._columns(rh), "red", range(rh.m), mu, ())
+    return {t: frozenset(row.nonzero()[0].tolist()) for t, row in zip(combinations(range(rh.m), 3), table)}
 
 
 # --- density, degrees, candidates ---------------------------------------------------
@@ -54,7 +66,7 @@ def test_complete_is_mu_dense_for_all_mu():
 
 def test_empty_constituent_fails_density():
     rh = complete_reduced(4, 2)
-    cons = dict(rh.constituents)
+    cons = constituents(rh)
     cons[(0, 2, 3)] = frozenset()
     rh = ReducedHypergraph(4, rh.class_sizes, cons)
     dense, worst = is_mu_dense(rh, 0.1)
@@ -109,7 +121,7 @@ def test_random_half_density_usually_quarter_dense():
 def test_degree_complete_and_empty():
     rh = complete_reduced(3, 3)
     assert degree(rh, (0, 1, 2), (0, 1), 0) == 9
-    cons = dict(rh.constituents)
+    cons = constituents(rh)
     cons[(0, 1, 2)] = frozenset()
     empty = ReducedHypergraph(3, rh.class_sizes, cons)
     assert degree(empty, (0, 1, 2), (0, 1), 0) == 0
@@ -135,25 +147,23 @@ def test_degree_sums_to_constituent_size():
 
 def test_red_candidates_extremes():
     rh = complete_reduced(3, 3)
-    assert red_candidates(rh, 1.0, (0, 1, 2)) == frozenset(range(3))
-    cons = dict(rh.constituents)
+    assert red_sets(rh, 1.0) == {(0, 1, 2): frozenset(range(3))}
+    cons = constituents(rh)
     cons[(0, 1, 2)] = frozenset()
-    assert red_candidates(ReducedHypergraph(3, rh.class_sizes, cons), 0.1, (0, 1, 2)) == frozenset()
+    assert red_sets(ReducedHypergraph(3, rh.class_sizes, cons), 0.2) == {(0, 1, 2): frozenset()}
 
 
 def test_red_candidates_handcrafted_threshold():
     sizes = {p: 2 for p in combinations(range(3), 2)}
     edges = {(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 1, 1)}  # degrees 3 and 1 of 4
     rh = ReducedHypergraph.from_parts(3, sizes, {(0, 1, 2): edges})
-    assert red_candidates(rh, 0.5, (0, 1, 2)) == frozenset({0})
+    assert red_sets(rh, 1.0) == {(0, 1, 2): frozenset({0})}
 
 
 def test_red_candidates_meet_averaging_bound():
     for seed in range(10):
         rh = random_reduced(5, 4, 0.6, seed, mu=0.5)
-        for triple in combinations(range(5), 3):
-            i, j, _ = triple
-            cand = red_candidates(rh, 0.25, triple)
+        for (i, j, _), cand in red_sets(rh, 0.5).items():
             assert len(cand) >= 0.25 * rh.class_sizes[(i, j)]
 
 
@@ -272,7 +282,7 @@ def test_pipeline_singleton_classes():
 
 def test_pipeline_rejects_sparse_input():
     rh = complete_reduced(4, 2)
-    cons = dict(rh.constituents)
+    cons = constituents(rh)
     cons[(0, 1, 2)] = frozenset()
     with pytest.raises(MuDensityError):
         select_rainbow_core(ReducedHypergraph(4, rh.class_sizes, cons), 0.5, 3)
@@ -282,24 +292,32 @@ STAGE_FAULTS = {
     "select_red": "^red selection without a target size failed$",
     "select_blue": "^blue selection without a target size failed$",
     # the red floor, mu/2 of a 2-vertex class
-    "red_candidates": "^red candidate set has 0 elements, below 1.0$",
+    "_stage_table": "^red candidate set has 0 elements, below 1.0$",
 }
+
+
+STAGE_TABLE = reduced._stage_table
+
+
+def no_candidates(*args):
+    rows, table = STAGE_TABLE(*args)
+    return rows, table & False
 
 
 @pytest.mark.parametrize(
     "stage, value",
-    [("select_red", None), ("select_blue", None), ("red_candidates", frozenset())],
+    [("select_red", None), ("select_blue", None), ("_stage_table", no_candidates)],
 )
 def test_pipeline_stage_fault_raises_runtime_error(monkeypatch, stage, value):
     # explicit checks, not asserts: they must also hold under python -O
-    monkeypatch.setattr(f"hyperdense.reduced.{stage}", lambda *args: value)
+    monkeypatch.setattr(f"hyperdense.reduced.{stage}", value or (lambda *args: None))
     with pytest.raises(RuntimeError, match=STAGE_FAULTS[stage]):
         select_rainbow_core(complete_reduced(5, 2), 1.0, 3)
 
 
 def keep_only(rh, keep):
     """rh with each constituent cut down to the class edges keep accepts."""
-    cons = {t: frozenset(e for e in es if keep(e)) for t, es in rh.constituents.items()}
+    cons = {t: frozenset(e for e in es if keep(e)) for t, es in constituents(rh).items()}
     return ReducedHypergraph(rh.m, rh.class_sizes, cons)
 
 
@@ -307,8 +325,13 @@ def test_blue_floor_breach_names_the_blue_stage(monkeypatch):
     # red vertex 0 has no edge, so its blue candidates are empty; admitting
     # it as a red candidate lets the greedy pick it on its tie
     rh = keep_only(complete_reduced(5, 2), lambda e: e[0] == 1)
-    assert red_candidates(rh, 0.25, (0, 1, 2)) == frozenset({1})
-    monkeypatch.setattr("hyperdense.reduced.red_candidates", lambda *args: frozenset({0, 1}))
+    assert set(red_sets(rh, 0.5).values()) == {frozenset({1})}
+
+    def red_takes_both(cols, stage, *args):
+        rows, table = STAGE_TABLE(cols, stage, *args)
+        return rows, table | (stage == "red")
+
+    monkeypatch.setattr("hyperdense.reduced._stage_table", red_takes_both)
     with pytest.raises(RuntimeError, match="^blue candidate set has 0 elements, below 0.25$"):
         select_rainbow_core(rh, 0.5, 3)
 
@@ -382,15 +405,66 @@ def test_reduced_json_roundtrip():
     assert again == rh
 
 
-def test_constituents_share_one_tuple_per_class_edge():
-    # parsed from JSON, every edge arrives as a list of its own; the
-    # constituents keep one tuple object per distinct class edge
-    rh = random_reduced(6, 2, 0.7, 3)
-    again = parse_reduced_json(serialize_reduced_json(rh))
-    edges = [e for es in again.constituents.values() for e in es]
-    assert again == rh
-    assert len(edges) > 8
-    assert len({id(e) for e in edges}) == len(set(edges)) <= 8
+def mixed_parts(seed):
+    """Class sizes 1-6 and random constituents, some of them empty."""
+    rng = derive_rng(seed, "mixed-parts")
+    m = rng.randint(3, 7)
+    sizes = {p: rng.randint(1, 6) for p in combinations(range(m), 2)}
+    cons = {}
+    for i, j, k in combinations(range(m), 3):
+        every = list(product(range(sizes[(i, j)]), range(sizes[(i, k)]), range(sizes[(j, k)])))
+        cons[(i, j, k)] = set(rng.sample(every, rng.randint(0, len(every))))
+    return m, sizes, cons
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_columns_give_back_every_constituent(seed):
+    m, sizes, cons = mixed_parts(seed)
+    rh = ReducedHypergraph.from_parts(m, sizes, cons)
+    assert constituents(rh) == cons
+    assert parse_reduced_json(serialize_reduced_json(rh)) == rh
+    assert len(rh.codes) == rh.offsets[-1] == sum(map(len, cons.values()))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_equal_edges_in_another_order_give_an_equal_instance(seed):
+    m, sizes, cons = mixed_parts(seed)
+    rng = derive_rng(seed, "shuffle")
+    shuffled = {}
+    for t in reversed(list(cons)):  # other key order, keys unsorted, edges as lists in another order
+        edges = [list(e) for e in cons[t]]
+        rng.shuffle(edges)
+        shuffled[tuple(reversed(t))] = edges + edges[:1]  # a repeated edge counts once
+    rh = ReducedHypergraph.from_parts(m, sizes, cons)
+    assert ReducedHypergraph.from_parts(m, dict(reversed(sizes.items())), shuffled) == rh
+    data = reduced_to_dict(rh)
+    data["constituents"] = {key: edges[::-1] for key, edges in reversed(data["constituents"].items())}
+    assert parse_reduced_json(json.dumps(data)) == rh
+
+
+@pytest.mark.parametrize("bad, line", [
+    ([(0, 0, 2), (0, 2, 0)], "constituent edge (0, 0, 2) outside classes of (0, 1, 2)"),
+    ([(0, 0, 0), (-1, 0, 0), (0, 0, -1)], "constituent edge (-1, 0, 0) outside classes of (0, 1, 2)"),
+    ([(0, 1), (1, 0, 0, 0)], "constituent edge (0, 1) of the wrong arity of (0, 1, 2)"),
+    ([(0, 0, 5), (0, 1)], "constituent edge (0, 0, 5) outside classes of (0, 1, 2)"),
+])
+def test_bad_edges_name_the_least(bad, line):
+    sizes = {p: 2 for p in combinations(range(3), 2)}
+    with pytest.raises(ValueError) as info:
+        ReducedHypergraph.from_parts(3, sizes, {(0, 1, 2): [(1, 1, 1)] + bad})
+    assert str(info.value) == line
+    with pytest.raises(ValueError) as info:
+        reduced.reduced_from_dict({"m": 3, "class_size": {"0,1": 2, "0,2": 2, "1,2": 2},
+                                   "constituents": {"0,1,2": [[1, 1, 1]] + [list(e) for e in bad]}})
+    assert str(info.value) == line
+
+
+def test_edges_of_rejects_a_triple_outside_the_indices():
+    rh = complete_reduced(4, 2)
+    assert rh.edges_of((3, 1, 2)) == rh.edges_of((1, 2, 3))
+    for triple in ((0, 1, 4), (0, 1, 1), (-1, 0, 1)):
+        with pytest.raises(ValueError):
+            rh.edges_of(triple)
 
 
 def test_selection_json_roundtrip():
