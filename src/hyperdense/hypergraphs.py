@@ -13,13 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, permutations
 from math import comb
 from operator import itemgetter, lt
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Edge = tuple[int, ...]
 Face = tuple[int, ...]  # (k-1)-subsets covered by an edge
+
+# count_homomorphisms contracts the host's adjacency tensor when its n**k
+# cells lie in this window; smaller hosts are counted faster in pure Python
+# than numpy loads, and larger ones keep the search.
+CONTRACTION_MIN_CELLS = 1 << 12
+CONTRACTION_MAX_CELLS = 1 << 22
+# The search keeps a bitmask of neighbours per host vertex, about n**2 / 8
+# bytes in all, so it takes hosts of at most this many vertices.
+HOST_VERTEX_LIMIT = 10**4
 
 
 class HypergraphParseError(ValueError):
@@ -290,6 +302,107 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
 def count_homomorphisms(pattern: Hypergraph, host: Hypergraph) -> int:
     """Exact number of (not necessarily injective) edge-preserving maps.
 
+    A pattern with edges, into a host whose adjacency tensor has between
+    CONTRACTION_MIN_CELLS and CONTRACTION_MAX_CELLS cells (n**k), is
+    counted by contraction (``_contract_homomorphisms``), provided that
+    every table of the pattern's elimination order also fits under
+    CONTRACTION_MAX_CELLS and that n**v(F) < 2**63, which bounds every
+    partial sum, so int64 stays exact.  Every other count runs the search
+    of ``_count_maps``: below the window a Python walk beats loading numpy,
+    above it the tensor would not fit, and an edgeless pattern is just n**v.
+    """
+    if pattern.k != host.k:
+        raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
+    n = host.n
+    if (pattern.edges and CONTRACTION_MIN_CELLS <= n ** host.k <= CONTRACTION_MAX_CELLS
+            and n ** pattern.n < 1 << 63):
+        order = _elimination_order(pattern)
+        if all(n ** len(neighbours) <= CONTRACTION_MAX_CELLS for _, neighbours in order):
+            return _contract_homomorphisms(pattern, host, order)
+    return _count_maps(pattern, host, injective=False)
+
+
+def _elimination_order(pattern: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
+    """The pattern's vertices in min-degree elimination order (ties by
+    index), each with its neighbours when it is eliminated: the axes of the
+    table its step leaves.  Eliminating a vertex joins its neighbours."""
+    adjacent: dict[int, set[int]] = {v: set() for v in range(pattern.n)}
+    for e in pattern.edges:
+        for v in e:
+            adjacent[v].update(e)
+    for v, near in adjacent.items():
+        near.discard(v)
+    order = []
+    while adjacent:
+        v = min(adjacent, key=lambda u: (len(adjacent[u]), u))
+        near = adjacent.pop(v)
+        for u in near:
+            adjacent[u] |= near
+            adjacent[u].discard(u)
+            adjacent[u].discard(v)
+        order.append((v, tuple(sorted(near))))
+    return order
+
+
+def _adjacency_tensor(host: Hypergraph) -> "np.ndarray":
+    """The host's symmetric 0/1 int64 tensor: cell (w_1, ..., w_k) is 1 iff
+    the w_i are the vertices of an edge, in any order."""
+    import numpy as np
+
+    n, k = host.n, host.k
+    edges = np.fromiter(chain.from_iterable(host.edges), np.int64, len(host.edges) * k).reshape(-1, k)
+    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    cells = np.zeros(n ** k, np.int64)
+    for axes in permutations(range(k)):
+        cells[edges[:, axes] @ place] = 1
+    return cells.reshape((n,) * k)
+
+
+def _contract_homomorphisms(
+    pattern: Hypergraph, host: Hypergraph, order: list[tuple[int, tuple[int, ...]]]
+) -> int:
+    """hom(pattern, host) by variable elimination over the adjacency tensor.
+
+    Each pattern edge starts as one factor, the tensor on its vertices.  A
+    step sums out one vertex: one ``np.einsum`` over the factors that hold
+    it leaves a table on its neighbours, so its cells number n**len(its
+    neighbours), known from ``order`` before anything is allocated.  An
+    isolated vertex contributes a factor n, and a component's last step a
+    scalar.  Every cell counts maps of the vertices summed out so far, so
+    with n**v < 2**63 no int64 overflows; the final product is a Python
+    int.
+    """
+    import numpy as np
+
+    tensor = _adjacency_tensor(host)
+    factors: list[tuple[tuple[int, ...], "np.ndarray"]] = [(e, tensor) for e in pattern.edges]
+    total = 1
+    for v, neighbours in order:
+        used = [f for f in factors if v in f[0]]
+        if not used:
+            total *= host.n
+            continue
+        factors = [f for f in factors if v not in f[0]]
+        axis = {u: i for i, u in enumerate((v,) + neighbours)}
+        operands: list = []
+        for vertices, table in used:
+            operands += [table, [axis[u] for u in vertices]]
+        table = np.einsum(*operands, [axis[u] for u in neighbours])
+        if neighbours:
+            factors.append((neighbours, table))
+        else:
+            total *= int(table)
+    return total
+
+
+def _count_maps(
+    pattern: Hypergraph, host: Hypergraph, injective: bool, witness: Optional[dict[int, int]] = None
+) -> int:
+    """Count edge-preserving maps; with ``witness``, stop at the first leaf
+    of the injective search and store its map there.  Hosts are limited to
+    HOST_VERTEX_LIMIT vertices, checked before anything is built, because
+    the per-vertex tables below grow with n.
+
     Positions are eliminated along the search order.  The boundary B_i of
     position i holds the earlier positions that some edge closing at i or
     later reads, and the count below i depends only on the images there.
@@ -300,18 +413,11 @@ def count_homomorphisms(pattern: Hypergraph, host: Hypergraph) -> int:
     where it is the whole prefix every key occurs once, and a memo there
     would only hold memory.  Isolated pattern vertices are folded into one
     n**f factor.  Python integers, so counts never overflow.
-    """
-    return _count_maps(pattern, host, injective=False)
 
-
-def _count_maps(
-    pattern: Hypergraph, host: Hypergraph, injective: bool, witness: Optional[dict[int, int]] = None
-) -> int:
-    """Count edge-preserving maps; with ``witness``, stop at the first leaf
-    of the injective search and store its map there.  Injectivity reads
-    every earlier image through ``used``, so in that walk B_i is the whole
-    prefix for i < n: nothing is memoised, and only the last position is
-    eliminated, its least candidate standing in for the witness.
+    Injectivity reads every earlier image through ``used``, so in that
+    walk B_i is the whole prefix for i < n: nothing is memoised, and only
+    the last position is eliminated, its least candidate standing in for
+    the witness.
 
     A position's candidates complete each of its closing edges, and a pair
     filter keeps only those adjacent in the host to the image of every
@@ -322,6 +428,9 @@ def _count_maps(
     completion are dropped, which keeps every count and witness."""
     if pattern.k != host.k:
         raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
+    if host.n > HOST_VERTEX_LIMIT:
+        raise ValueError(f"pattern-map searches are limited to hosts of n <= {HOST_VERTEX_LIMIT} "
+                         f"vertices, got n={host.n}")
     if injective and pattern.n > host.n:
         return 0
     order = _search_order(pattern)

@@ -80,6 +80,10 @@ class ReducedHypergraph:
             size = class_sizes.get(pair)
             if size is None or size < 1:
                 raise ValueError(f"class {pair} missing or empty")
+        for what, given, count in (("class", class_sizes, 2), ("constituent triple", constituents, 3)):
+            stray = given.keys() - set(combinations(range(m), count))
+            if stray:
+                raise ValueError(f"{what} {min(stray)} does not name {count} increasing indices in [0, {m})")
         offsets, codes = array("q", [0]), array("q")
         for triple in combinations(range(m), 3):
             i, j, k = triple

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import groupby, product
 from math import perm
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .hypergraphs import Hypergraph, enumerate_hypergraphs
@@ -57,8 +58,13 @@ def kary_edge(k: int, vectors: Sequence[KaryVector]) -> bool:
 def build_kary(k: int, n: int) -> Hypergraph:
     """Explicit depth-n host on k**n vertices (vertex = digit-string index).
 
-    Built recursively: k shifted copies of depth n-1 plus all transversal
-    k-sets taking one vertex per first-coordinate block.
+    Built level by level in canonical order, so no level sorts its edges:
+    with N the previous level's size, block c holds the vertices
+    [cN, (c+1)N).  An edge whose least vertex a lies in block 0 is either
+    an edge of block 0 starting at a or a transversal (a, N + r_1, ...,
+    (k-1)N + r_{k-1}), whose second vertex lies above every block-0
+    vertex; the transversals come in product order.  The shifted copies
+    of blocks 1..k-1 follow, each in the previous level's order.
     """
     if k < 2:
         raise ValueError("base must be >= 2")
@@ -67,17 +73,19 @@ def build_kary(k: int, n: int) -> Hypergraph:
     size = k ** n
     if size > DEFAULT_VERTEX_LIMIT:
         raise ValueError(f"{k}**{n} = {size} exceeds the explicit-size limit {DEFAULT_VERTEX_LIMIT}")
-    if n == 0:
-        return Hypergraph(k, 1, ())
-    prev = build_kary(k, n - 1)
-    block = k ** (n - 1)
     edges: list[tuple[int, ...]] = []
-    for c in range(k):
-        off = c * block
-        edges.extend(tuple(off + v for v in e) for e in prev.edges)
-    for residues in product(range(block), repeat=k):
-        edges.append(tuple(c * block + residues[c] for c in range(k)))
-    return Hypergraph.from_edges(k, size, edges)
+    block = 1
+    for _ in range(n):
+        starting_at = {a: list(group) for a, group in groupby(edges, itemgetter(0))}
+        tails = list(product(*(range(c * block, (c + 1) * block) for c in range(1, k))))
+        level: list[tuple[int, ...]] = []
+        for a in range(block):
+            level += starting_at.get(a, ())
+            level += [(a, *tail) for tail in tails]
+        for c in range(1, k):
+            level += [tuple(map((c * block).__add__, e)) for e in edges]
+        edges, block = level, block * k
+    return Hypergraph(k, size, tuple(edges))
 
 
 def kary_edge_count(k: int, n: int) -> int:

@@ -7,10 +7,13 @@ tests every mask against each edge mask.  ``size_minima`` scans all
 ``splits`` is the split enumeration the frequency decider used before it
 propagated labels: it lists every canonical labelling and only then tests
 each edge.  ``vector_of`` gives a vertex index's digit string.
+``recursive_build_kary`` is the host builder that ``build_kary`` replaced:
+it builds every level as a hypergraph and sorts its edges.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -26,6 +29,22 @@ def vector_of(index: int, k: int, length: int) -> KaryVector:
         digits.append(index % k)
         index //= k
     return tuple(reversed(digits))
+
+
+def recursive_build_kary(k: int, n: int) -> Hypergraph:
+    """k shifted copies of depth n-1 plus all transversal k-sets taking one
+    vertex per first-coordinate block, deduplicated and sorted."""
+    if n == 0:
+        return Hypergraph(k, 1, ())
+    prev = recursive_build_kary(k, n - 1)
+    block = k ** (n - 1)
+    edges: list[tuple[int, ...]] = []
+    for c in range(k):
+        off = c * block
+        edges.extend(tuple(off + v for v in e) for e in prev.edges)
+    for residues in product(range(block), repeat=k):
+        edges.append(tuple(c * block + residues[c] for c in range(k)))
+    return Hypergraph.from_edges(k, k**n, edges)
 
 
 def edge_mask_counts(masks: np.ndarray, level: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hyperdense
-from hyperdense import density, inequalities, parse_hypergraph, rainbow, reduced
+from hyperdense import density, hypergraphs, inequalities, parse_hypergraph, rainbow, reduced
 from hyperdense.cli import _emit, main
 
 from conftest import C5_MINUS_TEXT
@@ -513,6 +513,32 @@ def test_hom_count_and_embed(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "embed", c5, edge)
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["hom-count", "embed"])
+def test_pattern_maps_reject_hosts_past_the_limit(tmp_path, capsys, command):
+    # a header alone: over the limit, nothing is allocated
+    edge = write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")
+    n = hypergraphs.HOST_VERTEX_LIMIT + 1
+    huge = write(tmp_path, "huge.hyg", f"3 {n} 0\n")
+    code, out, err = run(capsys, command, edge, huge)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: pattern-map searches are limited to hosts of n <= {hypergraphs.HOST_VERTEX_LIMIT} vertices, got n={n}"
+    ]
+
+
+@pytest.mark.parametrize("command, result", [
+    ("hom-count", {"count": hypergraphs.HOST_VERTEX_LIMIT}),
+    ("embed", {"witness": {"mapping": {"0": 0}}}),
+])
+def test_pattern_maps_take_hosts_at_the_limit(tmp_path, capsys, command, result):
+    vertex = write(tmp_path, "vertex.hyg", "3 1 0\n")
+    host = write(tmp_path, "host.hyg", f"3 {hypergraphs.HOST_VERTEX_LIMIT} 0\n")
+    code, out, _ = run(capsys, command, vertex, host)
+    assert code == 0
+    assert loads(out)["result"] == result
 
 
 def test_embed_none_reports_the_same_config(tmp_path, capsys):

@@ -6,6 +6,11 @@ containment search.  Patterns have up to 6 vertices, including none and
 isolated ones; hosts are empty, complete, random, or the digit-string
 hosts of depth at most 2.  Fixed 4-uniform cases, where a host's faces
 are triples rather than pairs, check the pair filter's neighbourhoods.
+
+The tensor contraction must equal the search on every small host, and
+``count_homomorphisms`` must fall back to the search at each edge of its
+window: the cell counts of the tensor and of the largest step table, and
+n**v against 2**63.
 """
 
 from itertools import combinations
@@ -15,8 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backtrack_oracles import count_maps, first_copy, naive_contains_copy
-from hyperdense import Hypergraph, contains_copy, count_embeddings, count_homomorphisms, is_embedding
-from hyperdense.hypergraphs import _closing_edges, _pair_checks, _search_order
+from hyperdense import (
+    Hypergraph, complete_hypergraph, contains_copy, count_embeddings, count_homomorphisms, is_embedding,
+)
+from hyperdense import hypergraphs
+from hyperdense.hypergraphs import _closing_edges, _count_maps, _pair_checks, _search_order
 from hyperdense.seeding import derive_rng
 from hyperdense.ternary import build_kary
 
@@ -112,3 +120,59 @@ def test_k4_hosts_match_backtracking(pattern_name, host_name):
         assert witness is None
     else:
         assert list(witness.mapping.items()) == list(reference.mapping.items())
+
+
+# --- the contraction and its window ---------------------------------------------
+
+
+@ORACLE_SETTINGS
+@given(pattern_and_host())
+def test_contraction_matches_the_search_below_the_window(pair):
+    pattern, host = pair
+    order = hypergraphs._elimination_order(pattern)
+    assert hypergraphs._contract_homomorphisms(pattern, host, order) == _count_maps(pattern, host, injective=False)
+
+
+def sparse_host(k, n):
+    """Every k-set of the first k + 2 vertices, plus 3n random k-sets."""
+    rng = derive_rng(5, f"window-host/{k}/{n}")
+    edges = list(combinations(range(k + 2), k)) + [tuple(sorted(rng.sample(range(n), k))) for _ in range(3 * n)]
+    return Hypergraph.from_edges(k, n, edges)
+
+
+def counted_by_contraction(monkeypatch, pattern, host) -> tuple[int, bool]:
+    """count_homomorphisms, and whether it took the contraction."""
+    taken = []
+    contract = hypergraphs._contract_homomorphisms
+    monkeypatch.setattr(hypergraphs, "_contract_homomorphisms", lambda *args: taken.append(args) or contract(*args))
+    return count_homomorphisms(pattern, host), bool(taken)
+
+
+TIGHT_PATH = Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
+GRAPH_PATH = Hypergraph(2, 3, ((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("k, n, pattern, contracted", [
+    (3, 16, TIGHT_PATH, True),  # 16**3 = 2**12 cells, the floor
+    (3, 15, TIGHT_PATH, False),
+    (2, 2048, GRAPH_PATH, True),  # 2048**2 = 2**22 cells, the cap
+    (2, 2049, GRAPH_PATH, False),
+    # an edge and isolated vertices into 8 vertices: 8**20 < 2**63 = 8**21
+    (4, 8, Hypergraph(4, 20, ((0, 1, 2, 3),)), True),
+    (4, 8, Hypergraph(4, 21, ((0, 1, 2, 3),)), False),
+])
+def test_count_homomorphisms_window_edges(monkeypatch, k, n, pattern, contracted):
+    host = sparse_host(k, n)
+    count, taken = counted_by_contraction(monkeypatch, pattern, host)
+    assert taken is contracted
+    assert count == _count_maps(pattern, host, injective=False)
+
+
+@pytest.mark.parametrize("cap, contracted", [(16**4, True), (16**4 - 1, False)])
+def test_count_homomorphisms_falls_back_when_a_step_table_passes_the_cap(monkeypatch, cap, contracted):
+    # every vertex of K5 has four neighbours, so its first table has 16**4 cells
+    monkeypatch.setattr(hypergraphs, "CONTRACTION_MAX_CELLS", cap)
+    pattern, host = complete_hypergraph(3, 5), sparse_host(3, 16)
+    count, taken = counted_by_contraction(monkeypatch, pattern, host)
+    assert taken is contracted
+    assert count == _count_maps(pattern, host, injective=False) > 0

@@ -20,7 +20,7 @@ from hyperdense import (
     serialize_hypergraph,
     shadow,
 )
-from hyperdense.hypergraphs import _completion_index
+from hyperdense.hypergraphs import _completion_index, _count_maps
 from hyperdense.rainbow import build_pattern_host, random_pair_colouring
 from hyperdense.seeding import derive_rng
 from hyperdense.ternary import build_kary
@@ -346,21 +346,30 @@ def test_hom_tight_paths_into_t4():
     assert count_homomorphisms(Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4))), t4) == 87169608
 
 
+def peak_bytes(thunk) -> int:
+    tracemalloc.start()
+    try:
+        thunk()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_hom_memo_stays_within_the_host_index():
     # Memoising a position whose boundary is its whole prefix keeps one
     # entry per partial map; the gate keeps the count near the index size.
     t4 = build_kary(3, 4)
     path = Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
+    assert peak_bytes(lambda: _count_maps(path, t4, injective=False)) < 2 * peak_bytes(lambda: _completion_index(t4))
 
-    def peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert peak(count_homomorphisms, path, t4) < 2 * peak(_completion_index, t4)
+def test_hom_contraction_peak_stays_below_two_tensors():
+    # The int64 adjacency tensor of T_4 has 81**3 cells; P5's tables have
+    # 81**2.  A first count loads numpy, which is not the count's memory.
+    t4 = build_kary(3, 4)
+    path = Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
+    count_homomorphisms(path, t4)
+    assert peak_bytes(lambda: count_homomorphisms(path, t4)) < 2 * 8 * t4.n**3
 
 
 # --- enumeration -------------------------------------------------------------

@@ -1,5 +1,8 @@
 """The digit-string host's recursions against the built host.
 
+``build_kary`` must emit the very edge tuple of the recursive builder that
+sorts every level.
+
 The subset audit's split counter and its size minima must equal counts
 taken edge by edge in ``build_kary(3, level)``, and ``kary_hom_counts`` at
 each depth must equal ``count_homomorphisms`` into the built host.
@@ -15,13 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kary_oracles import edge_mask_counts, size_minima, splits
+from kary_oracles import edge_mask_counts, recursive_build_kary, size_minima, splits
 from hyperdense import Hypergraph, count_homomorphisms, enumerate_hypergraphs, induced_edge_count
 from hyperdense.inequalities import _extremal_subset, _size_minima, _split_counts
 from hyperdense.seeding import derive_rng
 from hyperdense.ternary import _splits, build_kary, kary_hom_counts
 
 ORACLE_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+@pytest.mark.parametrize("k, n", [(3, n) for n in range(5)] + [(4, n) for n in range(4)]
+                         + [(2, n) for n in range(7)])
+def test_build_kary_emits_the_sorted_edges_of_the_recursive_builder(k, n):
+    assert build_kary(k, n).edges == recursive_build_kary(k, n).edges
 
 
 @ORACLE_SETTINGS

@@ -115,6 +115,33 @@ def test_cli_heuristic_audit_loads_numpy_and_decider_does_not(tmp_path, argv, nu
     assert loaded is numpy_loaded
 
 
+# Hom counts into hosts of fewer than 2**12 tensor cells, such as T_2, and
+# every containment search stay in pure Python, and so does building T_n.
+@pytest.mark.parametrize("argv", [
+    ["hom-count", "{file}", "{t2}"],
+    ["embed", "{file}", "{t2}"],
+    ["generate", "ternary", "3", "3"],
+])
+def test_cli_pattern_maps_and_ternary_host_do_not_load_numpy(tmp_path, argv):
+    from hyperdense import build_kary, serialize_hypergraph
+
+    path, t2 = tmp_path / "c5.hyg", tmp_path / "t2.hyg"
+    path.write_text(C5_MINUS_TEXT)
+    t2.write_text(serialize_hypergraph(build_kary(3, 2)))
+    argv = [a.format(file=path, t2=t2) for a in argv]
+    script = (
+        "import json, sys\n"
+        "from hyperdense import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    proc = fresh(script)
+    code, loaded = json.loads(proc.stderr)
+    assert code in (0, 1)
+    assert proc.stdout
+    assert loaded is False
+
+
 # The staged selection builds its candidate tables in numpy; parsing a
 # reduced hypergraph and verifying a selection stay in pure Python.
 @pytest.mark.parametrize("action, numpy_loaded", [("select", True), ("verify", False)])

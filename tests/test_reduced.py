@@ -459,6 +459,20 @@ def test_bad_edges_name_the_least(bad, line):
     assert str(info.value) == line
 
 
+@pytest.mark.parametrize("sizes, cons, line", [
+    ({(0, 1): 2, (0, 2): 2, (1, 2): 2, (0, 9): 5}, {(0, 1, 9): {(0, 0, 0)}, (0, 1, 2): {(1, 1, 1)}},
+     "class (0, 9) does not name 2 increasing indices in [0, 3)"),
+    ({(0, 1): 2, (0, 2): 2, (1, 2): 2, (1, 1): 1, (0, 3): 1}, {},
+     "class (0, 3) does not name 2 increasing indices in [0, 3)"),
+    ({(0, 1): 2, (0, 2): 2, (1, 2): 2}, {(2, 1, 1): set(), (0, 1, 2): {(1, 1, 1)}, (0, 1, 9): {(0, 0, 0)}},
+     "constituent triple (0, 1, 9) does not name 3 increasing indices in [0, 3)"),
+])
+def test_from_parts_rejects_keys_outside_the_indices(sizes, cons, line):
+    with pytest.raises(ValueError) as info:
+        ReducedHypergraph.from_parts(3, sizes, cons)
+    assert str(info.value) == line
+
+
 def test_edges_of_rejects_a_triple_outside_the_indices():
     rh = complete_reduced(4, 2)
     assert rh.edges_of((3, 1, 2)) == rh.edges_of((1, 2, 3))
