@@ -8,7 +8,7 @@ Every report embeds the run configuration, including the seed.
 Each command imports the modules it runs inside its body, so a cold start
 loads only those (and numpy only where a density audit, the cube scan, a
 sampled subset audit, the rainbow selection or a hom count into a host of
-2**12 to 2**22 tensor cells needs it).
+at least 27**3 tensor cells needs it).
 """
 
 from __future__ import annotations

@@ -24,11 +24,15 @@ if TYPE_CHECKING:
 Edge = tuple[int, ...]
 Face = tuple[int, ...]  # (k-1)-subsets covered by an edge
 
-# count_homomorphisms contracts the host's adjacency tensor when its n**k
-# cells lie in this window; smaller hosts are counted faster in pure Python
-# than numpy loads, and larger ones keep the search.
-CONTRACTION_MIN_CELLS = 1 << 12
-CONTRACTION_MAX_CELLS = 1 << 22
+# count_homomorphisms contracts the host's adjacency tensor from T_3's
+# 27**3 cells on; on smaller hosts a Python walk beats loading numpy.  The
+# einsum steps of one count may walk CONTRACTION_MAX_WORK index tuples in
+# all, at 2-3 ns each (2-vCPU Xeon): enough for P5 into T_4, 1.6e6 tuples
+# in 6 ms where the search takes 340 ms.  Past it the search can be the
+# faster one on a sparse host: K4^(3) into 81 random vertices walks 4.4e7
+# tuples in 100 ms, and the search takes 11 ms.
+CONTRACTION_MIN_CELLS = 27**3
+CONTRACTION_MAX_WORK = 1 << 21
 # The search keeps a bitmask of neighbours per host vertex, about n**2 / 8
 # bytes in all, so it takes hosts of at most this many vertices.
 HOST_VERTEX_LIMIT = 10**4
@@ -302,22 +306,22 @@ def count_embeddings(pattern: Hypergraph, host: Hypergraph) -> int:
 def count_homomorphisms(pattern: Hypergraph, host: Hypergraph) -> int:
     """Exact number of (not necessarily injective) edge-preserving maps.
 
-    A pattern with edges, into a host whose adjacency tensor has between
-    CONTRACTION_MIN_CELLS and CONTRACTION_MAX_CELLS cells (n**k), is
-    counted by contraction (``_contract_homomorphisms``), provided that
-    every table of the pattern's elimination order also fits under
-    CONTRACTION_MAX_CELLS and that n**v(F) < 2**63, which bounds every
-    partial sum, so int64 stays exact.  Every other count runs the search
-    of ``_count_maps``: below the window a Python walk beats loading numpy,
-    above it the tensor would not fit, and an edgeless pattern is just n**v.
+    A pattern with edges, into a host whose adjacency tensor has at least
+    CONTRACTION_MIN_CELLS cells (n**k), is counted by contraction
+    (``_contract_homomorphisms``) when its einsum steps walk at most
+    CONTRACTION_MAX_WORK index tuples in all (``_contraction_work``) and
+    n**v(F) < 2**63, which bounds every partial sum, so int64 stays exact.
+    A step walks at least the tensor's cells, so the cap bounds the tensor
+    too.  Every other count runs the search of ``_count_maps``: below the
+    floor a Python walk beats loading numpy, past the cap the search can be
+    faster, and an edgeless pattern is just n**v.
     """
     if pattern.k != host.k:
         raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
     n = host.n
-    if (pattern.edges and CONTRACTION_MIN_CELLS <= n ** host.k <= CONTRACTION_MAX_CELLS
-            and n ** pattern.n < 1 << 63):
+    if pattern.edges and n ** host.k >= CONTRACTION_MIN_CELLS and n ** pattern.n < 1 << 63:
         order = _elimination_order(pattern)
-        if all(n ** len(neighbours) <= CONTRACTION_MAX_CELLS for _, neighbours in order):
+        if _contraction_work(order, n) <= CONTRACTION_MAX_WORK:
             return _contract_homomorphisms(pattern, host, order)
     return _count_maps(pattern, host, injective=False)
 
@@ -344,18 +348,24 @@ def _elimination_order(pattern: Hypergraph) -> list[tuple[int, tuple[int, ...]]]
     return order
 
 
+def _contraction_work(order: list[tuple[int, tuple[int, ...]]], n: int) -> int:
+    """Index tuples the einsum steps of ``order`` walk into an n-vertex
+    host: a step runs over its vertex and its neighbours, n**(1 + len(
+    neighbours)) tuples.  An isolated vertex, which walks none, counts n."""
+    return sum(n ** (1 + len(neighbours)) for _, neighbours in order)
+
+
 def _adjacency_tensor(host: Hypergraph) -> "np.ndarray":
-    """The host's symmetric 0/1 int64 tensor: cell (w_1, ..., w_k) is 1 iff
+    """The host's symmetric 0/1 uint8 tensor: cell (w_1, ..., w_k) is 1 iff
     the w_i are the vertices of an edge, in any order."""
     import numpy as np
 
     n, k = host.n, host.k
-    edges = np.fromiter(chain.from_iterable(host.edges), np.int64, len(host.edges) * k).reshape(-1, k)
-    place = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    cells = np.zeros(n ** k, np.int64)
+    columns = np.fromiter(chain.from_iterable(host.edges), np.intp, len(host.edges) * k).reshape(-1, k).T
+    cells = np.zeros((n,) * k, np.uint8)
     for axes in permutations(range(k)):
-        cells[edges[:, axes] @ place] = 1
-    return cells.reshape((n,) * k)
+        cells[tuple(columns[a] for a in axes)] = 1
+    return cells
 
 
 def _contract_homomorphisms(
@@ -365,10 +375,11 @@ def _contract_homomorphisms(
 
     Each pattern edge starts as one factor, the tensor on its vertices.  A
     step sums out one vertex: one ``np.einsum`` over the factors that hold
-    it leaves a table on its neighbours, so its cells number n**len(its
-    neighbours), known from ``order`` before anything is allocated.  An
-    isolated vertex contributes a factor n, and a component's last step a
-    scalar.  Every cell counts maps of the vertices summed out so far, so
+    it leaves an int64 table on its neighbours, so its cells number
+    n**len(its neighbours), known from ``order`` before anything is
+    allocated.  The einsum reads the uint8 tensor through int64 buffers.
+    An isolated vertex contributes a factor n, and a component's last step
+    a scalar.  Every cell counts maps of the vertices summed out so far, so
     with n**v < 2**63 no int64 overflows; the final product is a Python
     int.
     """
@@ -387,7 +398,7 @@ def _contract_homomorphisms(
         operands: list = []
         for vertices, table in used:
             operands += [table, [axis[u] for u in vertices]]
-        table = np.einsum(*operands, [axis[u] for u in neighbours])
+        table = np.einsum(*operands, [axis[u] for u in neighbours], dtype=np.int64)
         if neighbours:
             factors.append((neighbours, table))
         else:

@@ -9,8 +9,8 @@ are triples rather than pairs, check the pair filter's neighbourhoods.
 
 The tensor contraction must equal the search on every small host, and
 ``count_homomorphisms`` must fall back to the search at each edge of its
-window: the cell counts of the tensor and of the largest step table, and
-n**v against 2**63.
+window: the tensor's cell count against the floor, the einsum steps' work
+against the cap, and n**v against 2**63.
 """
 
 from itertools import combinations
@@ -153,13 +153,11 @@ GRAPH_PATH = Hypergraph(2, 3, ((0, 1), (1, 2)))
 
 
 @pytest.mark.parametrize("k, n, pattern, contracted", [
-    (3, 16, TIGHT_PATH, True),  # 16**3 = 2**12 cells, the floor
-    (3, 15, TIGHT_PATH, False),
-    (2, 2048, GRAPH_PATH, True),  # 2048**2 = 2**22 cells, the cap
-    (2, 2049, GRAPH_PATH, False),
-    # an edge and isolated vertices into 8 vertices: 8**20 < 2**63 = 8**21
-    (4, 8, Hypergraph(4, 20, ((0, 1, 2, 3),)), True),
-    (4, 8, Hypergraph(4, 21, ((0, 1, 2, 3),)), False),
+    (3, 27, TIGHT_PATH, True),  # 27**3 cells, the floor
+    (3, 26, TIGHT_PATH, False),
+    # an edge and isolated vertices into 12 vertices: 12**17 < 2**63 < 12**18
+    (4, 12, Hypergraph(4, 17, ((0, 1, 2, 3),)), True),
+    (4, 12, Hypergraph(4, 18, ((0, 1, 2, 3),)), False),
 ])
 def test_count_homomorphisms_window_edges(monkeypatch, k, n, pattern, contracted):
     host = sparse_host(k, n)
@@ -168,11 +166,26 @@ def test_count_homomorphisms_window_edges(monkeypatch, k, n, pattern, contracted
     assert count == _count_maps(pattern, host, injective=False)
 
 
-@pytest.mark.parametrize("cap, contracted", [(16**4, True), (16**4 - 1, False)])
-def test_count_homomorphisms_falls_back_when_a_step_table_passes_the_cap(monkeypatch, cap, contracted):
-    # every vertex of K5 has four neighbours, so its first table has 16**4 cells
-    monkeypatch.setattr(hypergraphs, "CONTRACTION_MAX_CELLS", cap)
-    pattern, host = complete_hypergraph(3, 5), sparse_host(3, 16)
+@pytest.mark.parametrize("spare, contracted", [(0, True), (-1, False)])
+def test_count_homomorphisms_falls_back_one_tuple_past_the_work_cap(monkeypatch, spare, contracted):
+    pattern, host = complete_hypergraph(3, 4), sparse_host(3, 27)
+    work = hypergraphs._contraction_work(hypergraphs._elimination_order(pattern), host.n)
+    assert work == 27**4 + 27**3 + 27**2 + 27
+    monkeypatch.setattr(hypergraphs, "CONTRACTION_MAX_WORK", work + spare)
     count, taken = counted_by_contraction(monkeypatch, pattern, host)
     assert taken is contracted
     assert count == _count_maps(pattern, host, injective=False) > 0
+
+
+@pytest.mark.parametrize("pattern, host, contracted", [
+    (TIGHT_PATH, lambda: build_kary(3, 4), True),  # 1.6e6 tuples
+    (GRAPH_PATH, lambda: sparse_host(2, 1023), True),  # 2 * 1023**2 + 1023 <= 2**21 tuples
+    (GRAPH_PATH, lambda: sparse_host(2, 1024), False),  # 2 * 1024**2 + 1024 > 2**21
+    # dense patterns into sparse hosts, which the search counts in tens of ms
+    (complete_hypergraph(2, 3), lambda: sparse_host(2, 2048), False),  # 2048**3 tuples
+    (complete_hypergraph(3, 4), lambda: sparse_host(3, 161), False),  # 161**4 tuples
+])
+def test_count_homomorphisms_work_cap(monkeypatch, pattern, host, contracted):
+    host = host()
+    _, taken = counted_by_contraction(monkeypatch, pattern, host)
+    assert taken is contracted

@@ -364,12 +364,14 @@ def test_hom_memo_stays_within_the_host_index():
 
 
 def test_hom_contraction_peak_stays_below_two_tensors():
-    # The int64 adjacency tensor of T_4 has 81**3 cells; P5's tables have
-    # 81**2.  A first count loads numpy, which is not the count's memory.
+    # The uint8 adjacency tensor of T_4 has 81**3 one-byte cells, and it is
+    # filled from one 8-byte index per edge vertex; P5's int64 tables have
+    # 81**2 cells.  A first count loads numpy, which is not the count's memory.
     t4 = build_kary(3, 4)
     path = Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))
     count_homomorphisms(path, t4)
-    assert peak_bytes(lambda: count_homomorphisms(path, t4)) < 2 * 8 * t4.n**3
+    tensor_and_index = t4.n**3 + 8 * 3 * t4.edge_count
+    assert peak_bytes(lambda: count_homomorphisms(path, t4)) < 2 * tensor_and_index
 
 
 # --- enumeration -------------------------------------------------------------

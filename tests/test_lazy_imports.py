@@ -115,7 +115,7 @@ def test_cli_heuristic_audit_loads_numpy_and_decider_does_not(tmp_path, argv, nu
     assert loaded is numpy_loaded
 
 
-# Hom counts into hosts of fewer than 2**12 tensor cells, such as T_2, and
+# Hom counts into hosts of fewer than 27**3 tensor cells, such as T_2, and
 # every containment search stay in pure Python, and so does building T_n.
 @pytest.mark.parametrize("argv", [
     ["hom-count", "{file}", "{t2}"],
