@@ -3,7 +3,9 @@
 Exit codes: 0 affirmative/satisfied, 1 negative/violated/none,
 2 usage or input error, 3 unresolved (heuristic budget exhausted),
 4 internal fault (a failed self-check or any other unexpected error).
-Every report embeds the run configuration, including the seed.
+Every JSON report embeds as its config every argument of its subcommand
+as parsed, defaults included.  Only `generate`, `audit` and `audit-tn`
+draw random numbers, so only they take ``--seed``.
 
 Each command imports the modules it runs inside its body, so a cold start
 loads only those (and numpy only where a density audit, the cube scan, a
@@ -39,10 +41,12 @@ def _emit(payload: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _envelope(args, command: str, result: dict, **config) -> dict:
-    cfg = {"seed": getattr(args, "seed", 0), "threads": getattr(args, "threads", 1)}
-    cfg.update(config)
-    return {"schema": SCHEMA, "command": command, "config": cfg, "result": result}
+def _report(args, result: dict) -> None:
+    """Emit a JSON report.  Its config is every argument of the subcommand
+    as parsed, defaults included, in parser order; only the dispatch keys
+    and the output path are left out."""
+    config = {key: value for key, value in vars(args).items() if key not in ("func", "command", "output")}
+    _emit({"schema": SCHEMA, "command": args.command, "config": config, "result": result}, args)
 
 
 def _load_hypergraph(path: str) -> hypergraphs.Hypergraph:
@@ -55,12 +59,12 @@ def cmd_decide_pi1(args) -> int:
     pattern = _load_hypergraph(args.file)
     witness = rainbow.find_rainbow_ordering(pattern)
     if witness is None:
-        _emit(_envelope(args, "decide-pi1", {"witness": "none"}, file=args.file), args)
+        _report(args, {"witness": "none"})
         return EXIT_NEGATIVE
     if not rainbow.verify_rainbow_colouring(pattern, witness):
         raise RuntimeError("rainbow witness does not verify")
     result = {"witness": rainbow.witness_to_dict(witness, pattern.k)}
-    _emit(_envelope(args, "decide-pi1", result, file=args.file), args)
+    _report(args, result)
     return EXIT_OK
 
 
@@ -70,12 +74,12 @@ def cmd_frequent(args) -> int:
     pattern = _load_hypergraph(args.file)
     witness = ternary.find_kary_embedding(pattern)
     if witness is None:
-        _emit(_envelope(args, "frequent", {"witness": "none"}, file=args.file), args)
+        _report(args, {"witness": "none"})
         return EXIT_NEGATIVE
     if not ternary.verify_kary_embedding(pattern, witness):
         raise RuntimeError("digit-string witness does not verify")
     result = {"witness": ternary.embedding_to_dict(witness)}
-    _emit(_envelope(args, "frequent", result, file=args.file), args)
+    _report(args, result)
     return EXIT_OK
 
 
@@ -127,7 +131,7 @@ def cmd_audit(args) -> int:
         report = density.density_profile(
             host, grid, mode=args.mode, budget=args.budget, restarts=args.restarts, seed=args.seed
         )
-        _emit(_envelope(args, "audit", report.to_dict(), notion="profile", file=args.file), args)
+        _report(args, report.to_dict())
         return EXIT_OK
     query = density.DensityQuery(
         d=args.d, eta=args.eta, mode=args.mode, budget=args.budget,
@@ -137,7 +141,7 @@ def cmd_audit(args) -> int:
         report = density.vertex_density_check(host, query)
     else:
         report = density.triple_density_check(host, query)
-    _emit(_envelope(args, "audit", report.to_dict(), notion=args.notion, file=args.file), args)
+    _report(args, report.to_dict())
     return _verdict_exit(report.verdict)
 
 
@@ -151,7 +155,7 @@ def cmd_sweep(args) -> int:
     consistent = counts["frequent_not_orderable"] == 0
     result = {"f": f, "patterns": sum(counts.values()), "classes": counts,
               "consistent": consistent}
-    _emit(_envelope(args, "sweep", result, f=f), args)
+    _report(args, result)
     return EXIT_OK if consistent else EXIT_NEGATIVE
 
 
@@ -162,16 +166,16 @@ def cmd_reduced(args) -> int:
     if args.action == "select":
         selection = reduced.select_rainbow_core(rh, args.mu, args.f)
         if selection is None:
-            _emit(_envelope(args, "reduced", {"selection": "none"}, mu=args.mu, f=args.f, file=args.file), args)
+            _report(args, {"selection": "none"})
             return EXIT_NEGATIVE
         result = {"selection": reduced.selection_to_dict(selection)}
-        _emit(_envelope(args, "reduced", result, mu=args.mu, f=args.f, file=args.file), args)
+        _report(args, result)
         return EXIT_OK
     if not args.selection:
         raise ValueError("reduced verify needs --selection FILE")
     sel = reduced.selection_from_dict(json.loads(Path(args.selection).read_text()))
     valid = reduced.verify_core(rh, sel)
-    _emit(_envelope(args, "reduced", {"valid": valid}, file=args.file, selection=args.selection), args)
+    _report(args, {"valid": valid})
     return EXIT_OK if valid else EXIT_NEGATIVE
 
 
@@ -191,7 +195,7 @@ def cmd_verify_fact7(args) -> int:
         "exponent_identity_relative_error": identity_gap,
         "tolerance": -1e-9,
     }
-    _emit(_envelope(args, "verify-fact7", result, resolution=args.resolution), args)
+    _report(args, result)
     return EXIT_OK if minimum >= -1e-9 else EXIT_NEGATIVE
 
 
@@ -199,7 +203,7 @@ def cmd_audit_tn(args) -> int:
     from . import inequalities
 
     report = inequalities.audit_kary_subsets(args.level, mode=args.mode, samples=args.samples, seed=args.seed)
-    _emit(_envelope(args, "audit-tn", report.to_dict(), level=args.level, mode=args.mode), args)
+    _report(args, report.to_dict())
     return EXIT_OK if not report.violations else EXIT_NEGATIVE
 
 
@@ -211,7 +215,7 @@ def cmd_optimality(args) -> int:
         "r": stats.r, "n": stats.n, "eta": stats.eta, "size": stats.size,
         "edges": stats.edges, "bound": stats.bound, "ratio": stats.ratio,
     }
-    _emit(_envelope(args, "optimality", result, r=args.r, n=args.n), args)
+    _report(args, result)
     return EXIT_OK
 
 
@@ -220,7 +224,7 @@ def cmd_supersat(args) -> int:
 
     pattern = _load_hypergraph(args.file)
     report = inequalities.supersaturation_experiment(pattern, n_max=args.nmax)
-    _emit(_envelope(args, "supersat", report.to_dict(), file=args.file, nmax=args.nmax), args)
+    _report(args, report.to_dict())
     return EXIT_OK
 
 
@@ -228,7 +232,7 @@ def cmd_hom_count(args) -> int:
     pattern = _load_hypergraph(args.pattern)
     host = _load_hypergraph(args.host)
     count = hypergraphs.count_homomorphisms(pattern, host)
-    _emit(_envelope(args, "hom-count", {"count": count}, pattern=args.pattern, host=args.host), args)
+    _report(args, {"count": count})
     return EXIT_OK
 
 
@@ -237,12 +241,12 @@ def cmd_embed(args) -> int:
     host = _load_hypergraph(args.host)
     witness = hypergraphs.contains_copy(pattern, host)
     if witness is None:
-        _emit(_envelope(args, "embed", {"witness": "none"}, pattern=args.pattern, host=args.host), args)
+        _report(args, {"witness": "none"})
         return EXIT_NEGATIVE
     if not hypergraphs.is_embedding(pattern, host, witness.mapping):
         raise RuntimeError("embedding witness does not verify")
     result = {"witness": {"mapping": {str(v): w for v, w in sorted(witness.mapping.items())}}}
-    _emit(_envelope(args, "embed", result, pattern=args.pattern, host=args.host), args)
+    _report(args, result)
     return EXIT_OK
 
 
@@ -251,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hyperdense",
         description="Decision procedures and density auditors for k-uniform hypergraphs",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap; results are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
@@ -264,12 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decide-pi1", cmd_decide_pi1,
             "search for a vertex ordering with a conflict-free forced shadow colouring")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("frequent", cmd_frequent,
             "decide whether the pattern embeds into a digit-string host")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("generate", cmd_generate, "emit a host hypergraph in HYG format")
     p.add_argument("kind", choices=["ternary", "hphi"])
@@ -292,20 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", cmd_sweep,
             "classify all labeled 3-uniform patterns on f vertices by the two deciders")
     p.add_argument("f", type=int)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("reduced", cmd_reduced, "run or verify the staged rainbow selection")
     p.add_argument("action", choices=["select", "verify"])
     p.add_argument("file")
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--f", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--selection", help="selection JSON to verify")
 
     p = add("verify-fact7", cmd_verify_fact7,
             "grid-scan the cube inequality floor and its boundary identities")
     p.add_argument("--resolution", type=int, default=201)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("audit-tn", cmd_audit_tn,
             "audit the per-subset edge floor of the depth-l ternary host")
@@ -318,23 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
             "exact statistics of the binary-prefix slice {0,1}^r x {0,1,2}^(n-r)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("supersat", cmd_supersat,
             "exact homomorphism counts of a pattern into depth-1..nmax hosts")
     p.add_argument("--file", required=True)
     p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("hom-count", cmd_hom_count, "exact homomorphism count between two hypergraphs")
     p.add_argument("pattern")
     p.add_argument("host")
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("embed", cmd_embed, "find an injective copy of a pattern inside a host")
     p.add_argument("pattern")
     p.add_argument("host")
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 

@@ -33,7 +33,7 @@ negative slack; heuristic mode never claims "satisfied", only "unresolved".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import permutations
 from math import ceil, comb, inf
@@ -102,15 +102,7 @@ class DensityReport:
     stats: dict
 
     def to_dict(self) -> dict:
-        return {
-            "notion": self.notion,
-            "verdict": self.verdict,
-            "d": self.d,
-            "eta": self.eta,
-            "certificate": self.certificate,
-            "slack": self.slack,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
 
 @dataclass

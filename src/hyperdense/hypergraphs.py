@@ -36,6 +36,12 @@ CONTRACTION_MAX_WORK = 1 << 21
 # The search keeps a bitmask of neighbours per host vertex, about n**2 / 8
 # bytes in all, so it takes hosts of at most this many vertices.
 HOST_VERTEX_LIMIT = 10**4
+# The pattern searches (this module's, the rainbow and digit-string
+# deciders, and the hom counts into T_n) recurse once per pattern vertex,
+# about n + 10 frames deep, so under Python's default recursion limit of
+# 1000 they take patterns of at most this many vertices: a 512-vertex tight
+# path passes each of them, and a 1,024-vertex one raises RecursionError.
+PATTERN_VERTEX_LIMIT = 512
 
 
 class HypergraphParseError(ValueError):
@@ -214,6 +220,33 @@ def relabel(h: Hypergraph, perm: Sequence[int]) -> Hypergraph:
     return Hypergraph.from_edges(h.k, h.n, (tuple(perm[v] for v in e) for e in h.edges))
 
 
+def check_pattern_size(pattern: Hypergraph) -> None:
+    """Reject, before a search builds anything, a pattern with more than
+    PATTERN_VERTEX_LIMIT vertices."""
+    if pattern.n > PATTERN_VERTEX_LIMIT:
+        raise ValueError(f"pattern searches are limited to patterns of n <= {PATTERN_VERTEX_LIMIT} "
+                         f"vertices, got n={pattern.n}")
+
+
+def _check_map_sizes(pattern: Hypergraph, host: Hypergraph) -> None:
+    if pattern.k != host.k:
+        raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
+    if host.n > HOST_VERTEX_LIMIT:
+        raise ValueError(f"pattern-map searches are limited to hosts of n <= {HOST_VERTEX_LIMIT} "
+                         f"vertices, got n={host.n}")
+    check_pattern_size(pattern)
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 def _completion_index(host: Hypergraph) -> dict[Face, tuple[int, ...]]:
     """Map each host face to the sorted vertices completing it to an edge."""
     idx: dict[Face, list[int]] = {}
@@ -316,8 +349,7 @@ def count_homomorphisms(pattern: Hypergraph, host: Hypergraph) -> int:
     floor a Python walk beats loading numpy, past the cap the search can be
     faster, and an edgeless pattern is just n**v.
     """
-    if pattern.k != host.k:
-        raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
+    _check_map_sizes(pattern, host)
     n = host.n
     if pattern.edges and n ** host.k >= CONTRACTION_MIN_CELLS and n ** pattern.n < 1 << 63:
         order = _elimination_order(pattern)
@@ -411,8 +443,9 @@ def _count_maps(
 ) -> int:
     """Count edge-preserving maps; with ``witness``, stop at the first leaf
     of the injective search and store its map there.  Hosts are limited to
-    HOST_VERTEX_LIMIT vertices, checked before anything is built, because
-    the per-vertex tables below grow with n.
+    HOST_VERTEX_LIMIT vertices, because the per-vertex tables below grow
+    with n, and patterns to PATTERN_VERTEX_LIMIT, because ``count``
+    recurses once per position; both are checked before anything is built.
 
     Positions are eliminated along the search order.  The boundary B_i of
     position i holds the earlier positions that some edge closing at i or
@@ -436,12 +469,13 @@ def _count_maps(
     images of an edge's vertices are k distinct vertices of one host edge,
     for homomorphisms too.  Those earlier positions lie in B_i, so the memo
     keys and the elimination stay valid, and only candidates with no
-    completion are dropped, which keeps every count and witness."""
-    if pattern.k != host.k:
-        raise ValueError(f"uniformity mismatch: {pattern.k} vs {host.k}")
-    if host.n > HOST_VERTEX_LIMIT:
-        raise ValueError(f"pattern-map searches are limited to hosts of n <= {HOST_VERTEX_LIMIT} "
-                         f"vertices, got n={host.n}")
+    completion are dropped, which keeps every count and witness.  A
+    position with no closing edge takes its candidates from the set bits
+    of that filter, or, without one, from the host vertices that lie in an
+    edge whenever its pattern vertex does, so no position walks all n host
+    vertices to keep a few: one edge into an edgeless host is refused at
+    once."""
+    _check_map_sizes(pattern, host)
     if injective and pattern.n > host.n:
         return 0
     order = _search_order(pattern)
@@ -453,6 +487,8 @@ def _count_maps(
     checks = _pair_checks(pattern, order, closing)
     completions = _completion_index(host)
     nbr = _neighbour_masks(completions, host.n) if any(checks) else []
+    in_edges = sorted(set(chain.from_iterable(host.edges)))
+    unchecked = [in_edges if pattern.degree(v) else range(host.n) for v in order]
     images: list[int] = []
     used: set[int] = set()
 
@@ -463,16 +499,19 @@ def _count_maps(
             if not opts:
                 return ()
             pools.append(opts)
+        if checks[i]:
+            near = -1
+            for p in checks[i]:
+                near &= nbr[images[p]]
+            if not pools:
+                return [w for w in _set_bits(near) if w not in used]
         if not pools:
-            pool: Sequence[int] = range(host.n)
+            pool: Sequence[int] = unchecked[i]
         elif len(pools) == 1:
             pool = pools[0]
         else:
             pool = sorted(set(pools[0]).intersection(*pools[1:]))
         if checks[i]:
-            near = -1
-            for p in checks[i]:
-                near &= nbr[images[p]]
             return [w for w in pool if near >> w & 1 and w not in used]
         return [w for w in pool if w not in used] if used else pool
 

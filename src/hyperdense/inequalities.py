@@ -34,7 +34,7 @@ hom(F, T_n) come from the host's recursion in `ternary.kary_hom_counts`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .hypergraphs import Hypergraph
@@ -132,13 +132,7 @@ class SubsetAuditReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "mode": self.mode,
-            "examined": self.examined,
-            "violations": self.violations,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def density_floor(size: int, level: int) -> float:

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence, Union
 
-from .hypergraphs import Face, Hypergraph, shadow
+from .hypergraphs import Face, Hypergraph, check_pattern_size, shadow
 from .seeding import derive_rng
 
 COLOUR_NAMES = {1: "green", 2: "blue", 3: "red"}
@@ -133,6 +133,7 @@ def find_rainbow_ordering(pattern: Hypergraph) -> Optional[ShadowColouring]:
     """
     if pattern.k < 3:
         raise ValueError("requires uniformity k >= 3")
+    check_pattern_size(pattern)
     n, k = pattern.n, pattern.k
     # The colours of the live faces are packed into one int, `width` bits per
     # face; 0 means uncoloured.  A face's bits are cleared when it dies, so

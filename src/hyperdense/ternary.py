@@ -19,11 +19,15 @@ from math import perm
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .hypergraphs import Hypergraph, enumerate_hypergraphs
+from .hypergraphs import Hypergraph, check_pattern_size, enumerate_hypergraphs
 
 KaryVector = tuple[int, ...]
 
 DEFAULT_VERTEX_LIMIT = 256
+# An explicit host also has at most this many edges: T_5 on base 3 has
+# 597,861 and builds in about 0.3 s, while 256 vertices on base 4 would
+# have 1.7e7 and on base 16 about 1.8e19.
+KARY_EDGE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,9 @@ def build_kary(k: int, n: int) -> Hypergraph:
     size = k ** n
     if size > DEFAULT_VERTEX_LIMIT:
         raise ValueError(f"{k}**{n} = {size} exceeds the explicit-size limit {DEFAULT_VERTEX_LIMIT}")
+    if kary_edge_count(k, n) > KARY_EDGE_LIMIT:
+        raise ValueError(f"the base-{k} depth-{n} host has {kary_edge_count(k, n)} edges, "
+                         f"past the explicit-size limit {KARY_EDGE_LIMIT}")
     edges: list[tuple[int, ...]] = []
     block = 1
     for _ in range(n):
@@ -163,6 +170,7 @@ def find_kary_embedding(pattern: Hypergraph) -> Optional[EmbeddingWitness]:
     """
     if pattern.k < 3:
         raise ValueError("requires uniformity k >= 3")
+    check_pattern_size(pattern)
     k = pattern.k
     memo: dict[frozenset[int], Optional[dict[int, KaryVector]]] = {}
 
@@ -212,6 +220,7 @@ def kary_hom_counts(pattern: Hypergraph, depth: int) -> list[int]:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    check_pattern_size(pattern)
     k = pattern.k
     splits = cache(lambda vs: list(_splits(pattern, vs)))
 

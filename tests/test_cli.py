@@ -10,7 +10,7 @@ import pytest
 
 import hyperdense
 from hyperdense import density, hypergraphs, inequalities, parse_hypergraph, rainbow, reduced
-from hyperdense.cli import _emit, main
+from hyperdense.cli import _emit, build_parser, main
 
 from conftest import C5_MINUS_TEXT
 from reduced_oracles import complete_reduced, serialize_reduced_json
@@ -317,7 +317,7 @@ def test_reduced_select_and_verify(tmp_path, capsys):
     code, out, _ = run(capsys, "reduced", "verify", path, "--selection", sel_path)
     assert code == 0
     assert loads(out)["result"]["valid"] is True
-    assert loads(out)["config"] == {"seed": 0, "threads": 1, "file": path, "selection": sel_path}
+    assert loads(out)["config"] == {"action": "verify", "file": path, "mu": 0.5, "f": 3, "selection": sel_path}
 
 
 def test_reduced_select_rejects_sparse(tmp_path, capsys):
@@ -541,6 +541,46 @@ def test_pattern_maps_take_hosts_at_the_limit(tmp_path, capsys, command, result)
     assert loads(out)["result"] == result
 
 
+def tight_path_text(n):
+    return f"3 {n} {n - 2}\n" + "".join(f"{i} {i + 1} {i + 2}\n" for i in range(n - 2))
+
+
+PATTERN_COMMANDS = [
+    ["decide-pi1", "PATTERN"],
+    ["frequent", "PATTERN"],
+    ["supersat", "--file", "PATTERN", "--nmax", "1"],
+    ["hom-count", "PATTERN", "HOST"],
+    ["embed", "PATTERN", "HOST"],
+]
+
+
+@pytest.mark.parametrize("template", PATTERN_COMMANDS, ids=[argv[0] for argv in PATTERN_COMMANDS])
+@pytest.mark.parametrize("text", [
+    f"3 {hypergraphs.PATTERN_VERTEX_LIMIT + 1} 0\n",  # a header alone: nothing is allocated
+    "3 1000000000 0\n",
+    tight_path_text(2 * hypergraphs.PATTERN_VERTEX_LIMIT),  # a RecursionError (exit 4) without the limit
+], ids=["limit+1", "1e9", "path-1024"])
+def test_pattern_searches_reject_patterns_past_the_limit(tmp_path, capsys, template, text):
+    files = {"PATTERN": write(tmp_path, "pattern.hyg", text), "HOST": write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")}
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in template))
+    assert code == 2
+    assert out == ""
+    n = int(text.split()[1])
+    assert err.splitlines() == [
+        f"error: pattern searches are limited to patterns of n <= {hypergraphs.PATTERN_VERTEX_LIMIT} vertices, got n={n}"
+    ]
+
+
+@pytest.mark.parametrize("template", PATTERN_COMMANDS, ids=[argv[0] for argv in PATTERN_COMMANDS])
+def test_pattern_searches_take_a_path_at_the_limit(tmp_path, capsys, template):
+    # each search recurses once per pattern vertex; embed finds the path in itself
+    path = write(tmp_path, "path.hyg", tight_path_text(hypergraphs.PATTERN_VERTEX_LIMIT))
+    host = path if template[0] == "embed" else write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")
+    code, out, _ = run(capsys, *({"PATTERN": path, "HOST": host}.get(arg, arg) for arg in template))
+    assert code == 0
+    assert loads(out)["command"] == template[0]
+
+
 def test_embed_none_reports_the_same_config(tmp_path, capsys):
     edge = write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n")
     c5 = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
@@ -553,11 +593,67 @@ def test_embed_none_reports_the_same_config(tmp_path, capsys):
 
 
 def test_reports_embed_config_and_seed(tmp_path, capsys):
-    path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
-    code, out, _ = run(capsys, "decide-pi1", path, "--seed", "99")
+    path = write(tmp_path, "empty.hyg", EMPTY10_TEXT)
+    code, out, _ = run(capsys, "audit", "vertex", path, "--mode", "heuristic", "--budget", "3",
+                       "--restarts", "2", "--seed", "99")
+    assert code == 1
+    # every argument in parser order, defaults included
+    assert loads(out)["config"] == {
+        "notion": "vertex", "file": path, "d": 0.5, "eta": 0.01, "mode": "heuristic",
+        "budget": 3, "restarts": 2, "seed": 99, "eta_grid": None,
+    }
+    assert list(loads(out)["config"]) == ["notion", "file", "d", "eta", "mode", "budget", "restarts", "seed", "eta_grid"]
+
+
+def test_sampled_audit_tn_report_carries_its_samples(capsys):
+    code, out, _ = run(capsys, "audit-tn", "--level", "2", "--mode", "sampled", "--samples", "7", "--seed", "4")
+    assert code == 0
+    assert loads(out)["config"] == {"level": 2, "mode": "sampled", "samples": 7, "seed": 4}
+
+
+# one run of each of the 11 subcommands that print a JSON report; C5, EDGE
+# and REDUCED stand for input files
+REPORT_ARGV = [
+    ["decide-pi1", "C5"],
+    ["frequent", "EDGE"],
+    ["audit", "profile", "C5", "--eta-grid", "0.5"],
+    ["sweep", "3"],
+    ["reduced", "select", "REDUCED", "--mu", "1.0"],
+    ["verify-fact7", "--resolution", "11"],
+    ["audit-tn", "--level", "1"],
+    ["optimality", "--r", "1", "--n", "2"],
+    ["supersat", "--file", "EDGE", "--nmax", "1"],
+    ["hom-count", "EDGE", "C5"],
+    ["embed", "EDGE", "C5"],
+]
+
+
+@pytest.mark.parametrize("template", REPORT_ARGV, ids=[argv[0] for argv in REPORT_ARGV])
+def test_report_config_is_the_parsed_arguments(tmp_path, capsys, template):
+    files = {
+        "C5": write(tmp_path, "c5.hyg", C5_MINUS_TEXT),
+        "EDGE": write(tmp_path, "edge.hyg", "3 3 1\n0 1 2\n"),
+        "REDUCED": write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(3, 1))),
+    }
+    argv = [files.get(arg, arg) for arg in template]
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    parsed = vars(build_parser().parse_args(argv))
+    expected = {key: value for key, value in parsed.items() if key not in ("func", "command", "output")}
     payload = loads(out)
-    assert payload["config"]["seed"] == 99
-    assert payload["config"]["threads"] == 1
+    assert payload["command"] == argv[0]
+    assert payload["config"] == expected
+    assert list(payload["config"]) == list(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "4", "decide-pi1", "F"],
+    ["decide-pi1", "F", "--seed", "1"],
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
 
 
 def test_runs_are_deterministic(tmp_path, capsys):
@@ -567,13 +663,6 @@ def test_runs_are_deterministic(tmp_path, capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
-
-
-def test_threads_flag_does_not_change_output(tmp_path, capsys):
-    path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
-    _, out1, _ = run(capsys, "decide-pi1", path)
-    _, out2, _ = run(capsys, "--threads", "4", "decide-pi1", path)
-    assert loads(out1)["result"] == loads(out2)["result"]
 
 
 def test_unknown_subcommand_exits_2(capsys):

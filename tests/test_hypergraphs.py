@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -20,7 +21,7 @@ from hyperdense import (
     serialize_hypergraph,
     shadow,
 )
-from hyperdense.hypergraphs import _completion_index, _count_maps
+from hyperdense.hypergraphs import HOST_VERTEX_LIMIT, _completion_index, _count_maps
 from hyperdense.rainbow import build_pattern_host, random_pair_colouring
 from hyperdense.seeding import derive_rng
 from hyperdense.ternary import build_kary
@@ -372,6 +373,17 @@ def test_hom_contraction_peak_stays_below_two_tensors():
     count_homomorphisms(path, t4)
     tensor_and_index = t4.n**3 + 8 * 3 * t4.edge_count
     assert peak_bytes(lambda: count_homomorphisms(path, t4)) < 2 * tensor_and_index
+
+
+def test_an_edge_into_an_edgeless_host_at_the_limit_is_refused_at_once(single_edge):
+    # The first position draws from the host vertices that lie in an edge,
+    # none here, so no position walks all n host vertices (about n**2 steps
+    # in all, about 1 s at n = 3,000, when every free position did).
+    host = Hypergraph(3, HOST_VERTEX_LIMIT, ())
+    start = time.perf_counter()
+    assert count_homomorphisms(single_edge, host) == 0
+    assert contains_copy(single_edge, host) is None
+    assert time.perf_counter() - start < 0.5
 
 
 # --- enumeration -------------------------------------------------------------

@@ -16,7 +16,7 @@ from hyperdense import (
     kary_edge_count,
     verify_kary_embedding,
 )
-from hyperdense.ternary import EmbeddingWitness, embedding_to_dict
+from hyperdense.ternary import KARY_EDGE_LIMIT, EmbeddingWitness, embedding_to_dict
 
 from kary_oracles import vector_of
 
@@ -73,6 +73,14 @@ def test_host_matches_direct_rule(n):
 def test_host_size_limit():
     with pytest.raises(ValueError):
         build_kary(3, 6)  # 729 vertices > default 256
+
+
+@pytest.mark.parametrize("k, n", [(4, 4), (16, 2)])
+def test_host_edge_limit(k, n):
+    # 256 vertices each, but 1.7e7 and 1.8e19 edges: refused before building
+    with pytest.raises(ValueError, match=f"has {kary_edge_count(k, n)} edges, past the explicit-size limit {KARY_EDGE_LIMIT}"):
+        build_kary(k, n)
+    assert kary_edge_count(3, 5) <= KARY_EDGE_LIMIT
 
 
 def test_edge_count_recurrence():
