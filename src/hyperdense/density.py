@@ -55,6 +55,9 @@ TRIPLE_EXACT_LIMIT = 10
 HEURISTIC_HOST_LIMIT = 10**4
 # (X, Y) cells per block of the exact triple audit: each array stays below 1 MiB at n <= 10
 _TRIPLE_BLOCK = 1 << 14
+# masks per block when the exact vertex and profile audits look up a size's
+# minimisers: the block's bool arrays take 64 KiB each, not 1 MiB at n = 20
+_SCAN_BLOCK = 1 << 16
 # cells per block of heuristic restarts, a cell being one edge incidence or
 # vertex of one restart; a block's largest arrays hold 1 or 2 bytes a cell
 _RESTART_BLOCK = 1 << 18
@@ -168,9 +171,10 @@ def _fill_subset_counts(out: np.ndarray, k: int, edges: Sequence[tuple[int, ...]
 
 def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]:
     """m(s) = min e(U) over |U| = s for s = 0..n, and a function giving the
-    masks that attain m(s).  No count exceeds the edge count, so the counts
-    are int16 below 2**15 edges and int32 from there: the tables take 3 or
-    5 * 2**n bytes with the uint8 sizes."""
+    masks that attain m(s), in increasing order, found _SCAN_BLOCK masks at
+    a time.  No count exceeds the edge count, so the counts are int16 below
+    2**15 edges and int32 from there: the tables take 3 or 5 * 2**n bytes
+    with the uint8 sizes."""
     # imported here, not at the top: only the audits need numpy, and
     # commands that run none of them start without loading it
     import numpy as np
@@ -182,7 +186,15 @@ def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]
     _fill_subset_counts(sizes, 1, [(v,) for v in range(h.n)])
     minima = np.full(h.n + 1, np.iinfo(dtype).max, dtype=dtype)
     np.minimum.at(minima, sizes, counts)
-    return minima.tolist(), lambda s: np.flatnonzero((sizes == s) & (counts == minima[s]))
+
+    def minimisers(s: int) -> np.ndarray:
+        return np.concatenate([
+            start + np.flatnonzero((sizes[start:start + _SCAN_BLOCK] == s)
+                                   & (counts[start:start + _SCAN_BLOCK] == minima[s]))
+            for start in range(0, len(counts), _SCAN_BLOCK)
+        ])
+
+    return minima.tolist(), minimisers
 
 
 def _lex_least(masks: np.ndarray, n: int) -> int:

@@ -13,10 +13,12 @@ times the upper corner's sum to the power tau, and aligned index cubes
 from side 64 down to 2 whose bound exceeds 1e-9 are dropped (94,721 of
 the 401**3 points are kept).  A dropped point's gap exceeds 1e-9, far
 above the float error of terms no larger than 27, so it can neither be
-the minimum, which the origin's exact 0 holds at or below, nor tie it;
-the kept points are evaluated with the operations of the full slice scan
-in its order, so the minimum and its lexicographically least argmin are
-unchanged.  From the inequality follows a per-subset edge floor inside
+the minimum, which the origin's exact 0 holds at or below, nor tie it.
+The kept points come unsorted and are evaluated in blocks, each gap with
+the operations of the full slice scan, and among exact ties the point of
+least index (i*r + j)*r + k wins, so the minimum and its lexicographically
+least argmin are those of that scan.  From the inequality follows a
+per-subset edge floor inside
 the depth-l ternary host,
 
     e(X) >= eta**rho / 4 * |X|**3 / 6 - 3/8 * 3**l,   eta = |X| / 3**l,
@@ -27,7 +29,8 @@ and the host splits into three first-digit blocks whose transversal
 triples are its remaining edges, so the least e(X) at each size follows
 from the same minima one level down: the exact audit checks every subset
 up to level KARY_EXACT_LIMIT without building the host.  The sampled audit
-counts drawn subsets by the same split, and the supersaturation counts
+counts drawn subsets by the same split, reading each first-digit block's
+edges and size from tables one level down, and the supersaturation counts
 hom(F, T_n) come from the host's recursion in `ternary.kary_hom_counts`.
 """
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .hypergraphs import Hypergraph
 from .seeding import subseed
@@ -60,8 +63,11 @@ def scan_inequality(resolution: int) -> tuple[float, tuple[float, float, float]]
     The gap is evaluated only at the points `_candidate_points` keeps; every
     other point has a box lower bound above _FLOAT_TOLERANCE, so a computed
     gap above 0 there, while the origin, always kept, has gap exactly 0.
-    The kept gaps take the operations of a slice-by-slice scan of the whole
-    grid in its order, so the result is the one that scan returns."""
+    The kept points are evaluated _GAP_BLOCK at a time, each gap with the
+    operations of a slice-by-slice scan of the whole grid.  Among points
+    whose gaps tie exactly at the minimum the least packed index
+    (i*r + j)*r + k wins, the point that scan meets first, so the result is
+    the one it returns."""
     import numpy as np
 
     if resolution < 2:
@@ -69,15 +75,27 @@ def scan_inequality(resolution: int) -> tuple[float, tuple[float, float, float]]
     if resolution > FACT7_RESOLUTION_LIMIT:
         raise ValueError(f"resolution is limited to <= {FACT7_RESOLUTION_LIMIT}")
     grid = np.linspace(0.0, 1.0, resolution)
-    i, j, k = _candidate_points(grid)
-    gaps = _point_gaps(grid, i, j, k)
-    best = int(np.argmin(gaps))
-    return float(gaps[best]), (float(grid[i[best]]), float(grid[j[best]]), float(grid[k[best]]))
+    points = _candidate_points(grid)
+    x_pow = np.array([x**TAU for x in grid])
+    best, key = math.inf, 0
+    for start in range(0, len(points[0]), _GAP_BLOCK):
+        i, j, k = (p[start:start + _GAP_BLOCK] for p in points)
+        gaps = _point_gaps(grid, i, j, k, x_pow)
+        low = gaps.min()
+        if low <= best:
+            tied = np.flatnonzero(gaps == low)
+            keys = (i[tied].astype(np.int64) * resolution + j[tied]) * resolution + k[tied]
+            first = keys.argmin()
+            if low < best or keys[first] < key:
+                best, key = gaps[tied[first]], int(keys[first])
+    i, jk = divmod(key, resolution * resolution)
+    j, k = divmod(jk, resolution)
+    return float(best), (float(grid[i]), float(grid[j]), float(grid[k]))
 
 
 def _candidate_points(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (i, j, k), in lexicographic order, of the grid points
-    whose gap may be at most _FLOAT_TOLERANCE.
+    """Index arrays (i, j, k), unsorted and int16 (FACT7_RESOLUTION_LIMIT
+    fits), of the grid points whose gap may be at most _FLOAT_TOLERANCE.
 
     Aligned index cubes of side _BLOCK_SIDE, then of each half side down to
     2, are kept while the box bound
@@ -92,9 +110,9 @@ def _candidate_points(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
     size = len(grid)
     scale = 3.0 ** (3.0 - TAU)
-    children = np.indices((2, 2, 2), dtype=np.int32).reshape(3, 8, 1)
+    children = np.indices((2, 2, 2), dtype=np.int16).reshape(3, 8, 1)
     side = _BLOCK_SIDE
-    blocks = np.indices((-(-size // side),) * 3, dtype=np.int32).reshape(3, -1)
+    blocks = np.indices((-(-size // side),) * 3, dtype=np.int16).reshape(3, -1)
     while side > 1:
         starts = np.arange(0, size, side)
         lo, hi = grid[starts], grid[np.minimum(starts + side, size) - 1]
@@ -105,17 +123,21 @@ def _candidate_points(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         side //= 2
         blocks = (2 * blocks[:, None, bound <= _FLOAT_TOLERANCE] + children).reshape(3, -1)
         blocks = blocks[:, (blocks * side < size).all(axis=0)]
-    i, j, k = blocks[:, np.lexsort(blocks[::-1])]
+    i, j, k = blocks
     return i, j, k
 
 
-def _point_gaps(grid: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _point_gaps(grid: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray,
+                x_pow: np.ndarray | None = None) -> np.ndarray:
     """The gap at the grid points (i, j, k), bit for bit as a scan of the
     whole grid computes it one x-slice at a time: x**tau as a scalar power,
-    y**tau and z**tau as array powers, and the sums in the scan's order."""
+    y**tau and z**tau as array powers, and the sums in the scan's order.
+    A caller that evaluates many blocks passes the scalar powers x_pow of
+    the whole grid once."""
     import numpy as np
 
-    x_pow = np.array([x**TAU for x in grid])
+    if x_pow is None:
+        x_pow = np.array([x**TAU for x in grid])
     grid_pow = grid**TAU
     x, y, z = grid[i], grid[j], grid[k]
     scale = 3.0 ** (3.0 - TAU)
@@ -145,6 +167,8 @@ KARY_EXACT_LIMIT = 5
 # the kept points grow about as resolution**1.5: 94,721 at 401, about 1e6 at 2001
 FACT7_RESOLUTION_LIMIT = 2001
 _BLOCK_SIDE = 64
+# kept points per block of the gap evaluation: each float array stays at 128 KiB
+_GAP_BLOCK = 1 << 14
 # |slice|**3 reaches 27**n at r = 0, past the largest float from n = 216 on
 SLICE_DEPTH_LIMIT = 215
 SUPERSAT_DEPTH_LIMIT = 64
@@ -188,7 +212,9 @@ def _extremal_subset(choices: list[list[tuple[int, int, int]]], level: int, size
 def _split_counts(masks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
     """(e(X), |X|) for each mask X of the depth-level host, by the same
     split: the three first-digit blocks of X span s0*s1*s2 transversal
-    edges, and each block holds its own edges one level down."""
+    edges, and each block holds its own edges one level down.  The
+    recursion runs down to single vertices; the sampled audit calls it
+    once, on every mask of one block, to build _table_counter's tables."""
     if level == 0:
         return masks & 0, masks
     block = 3 ** (level - 1)
@@ -200,6 +226,29 @@ def _split_counts(masks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray
     return counts + product, sizes
 
 
+def _table_counter(level: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """A function giving (e(X), |X|) for int64 masks X of the depth-level
+    host by the split with three table lookups per mask: _split_counts
+    counts every mask of one first-digit block once, 2**(3**(level-1))
+    entries (512 at level 3), and a mask's three blocks read their edges
+    and sizes there."""
+    import numpy as np
+
+    block = 3 ** (level - 1)
+    low = (1 << block) - 1
+    edges, sizes = _split_counts(np.arange(low + 1, dtype=np.int64), level - 1)
+
+    def count(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        counts, product, total = 0, 1, 0
+        for c in range(3):
+            part = (masks >> (c * block)) & low
+            s = sizes[part]
+            counts, product, total = counts + edges[part], product * s, total + s
+        return counts + product, total
+
+    return count
+
+
 def audit_kary_subsets(
     level: int, mode: str = "exact", samples: int = 10**6, seed: int = 0
 ) -> SubsetAuditReport:
@@ -208,7 +257,9 @@ def audit_kary_subsets(
     The floor depends on |X| alone, so exact mode (level <= KARY_EXACT_LIMIT)
     covers all 2**(3**level) subsets through m_l(s) and lists one extremal
     subset for each size that falls below it.  Sampled mode (level <= 3,
-    int64 masks) draws subsets uniformly and counts each by the same split.
+    int64 masks) draws subsets uniformly, _SAMPLE_SLICE masks per draw, and
+    counts each by the same split with three lookups into the tables of
+    _table_counter.
     Expected outcome is an empty violation list; any violation is returned
     with its full arithmetic.
     """
@@ -237,14 +288,14 @@ def audit_kary_subsets(
     n = 3**level
     floors = np.array([density_floor(size, level) for size in range(n + 1)])
     rng = np.random.default_rng(subseed(seed, f"subset-audit/{level}"))
+    count = _table_counter(level)
     for start in range(0, samples, _SAMPLE_SLICE):
-        draw = rng.integers(0, 1 << n, size=min(_SAMPLE_SLICE, samples - start), dtype=np.int64)
-        for masks in np.array_split(draw, 2):  # half a draw at a time keeps the count tables small
-            counts, sizes = _split_counts(masks, level)
-            for idx in np.nonzero(counts < floors[sizes] - _FLOAT_TOLERANCE)[0]:
-                mask, size = int(masks[idx]), int(sizes[idx])
-                violations.append({"subset": [v for v in range(n) if mask >> v & 1], "size": size,
-                                   "edges": int(counts[idx]), "bound": float(floors[size])})
+        masks = rng.integers(0, 1 << n, size=min(_SAMPLE_SLICE, samples - start), dtype=np.int64)
+        counts, sizes = count(masks)
+        for idx in np.nonzero(counts < floors[sizes] - _FLOAT_TOLERANCE)[0]:
+            mask, size = int(masks[idx]), int(sizes[idx])
+            violations.append({"subset": [v for v in range(n) if mask >> v & 1], "size": size,
+                               "edges": int(counts[idx]), "bound": float(floors[size])})
     return SubsetAuditReport(level, "sampled", samples, violations, seed=seed)
 
 

@@ -2,7 +2,10 @@
 
 ``edge_mask_counts`` is the counter the sampled subset audit used before it
 counted by the host's split: it builds the depth-level ternary host and
-tests every mask against each edge mask.  ``size_minima`` scans all
+tests every mask against each edge mask.  ``recursive_sampled_audit`` is
+the sampled audit as it ran before it read the split from lookup tables:
+it recurses through ``_split_counts`` down to single vertices, half a draw
+at a time, with the same draws.  ``size_minima`` scans all
 2**(3**level) subsets of that host for the least edge count at each size.
 ``splits`` is the split enumeration the frequency decider used before it
 propagated labels: it lists every canonical labelling and only then tests
@@ -18,7 +21,10 @@ from typing import Iterator
 
 import numpy as np
 
+from hyperdense import inequalities
 from hyperdense.hypergraphs import Hypergraph
+from hyperdense.inequalities import SubsetAuditReport, _split_counts
+from hyperdense.seeding import subseed
 from hyperdense.ternary import KaryVector, build_kary
 
 
@@ -55,6 +61,26 @@ def edge_mask_counts(masks: np.ndarray, level: int) -> np.ndarray:
         em = sum(1 << v for v in e)
         counts += (masks & em) == em
     return counts
+
+
+def recursive_sampled_audit(level: int, samples: int, seed: int) -> SubsetAuditReport:
+    """audit_kary_subsets(level, "sampled", samples, seed), counting each
+    half of every 2**15-mask draw by the full recursion of _split_counts.
+    The floor is read from the module at call time, so a patched floor
+    applies here too."""
+    n = 3**level
+    floors = np.array([inequalities.density_floor(size, level) for size in range(n + 1)])
+    rng = np.random.default_rng(subseed(seed, f"subset-audit/{level}"))
+    violations = []
+    for start in range(0, samples, 1 << 15):
+        draw = rng.integers(0, 1 << n, size=min(1 << 15, samples - start), dtype=np.int64)
+        for masks in np.array_split(draw, 2):
+            counts, sizes = _split_counts(masks, level)
+            for idx in np.nonzero(counts < floors[sizes] - 1e-9)[0]:
+                mask, size = int(masks[idx]), int(sizes[idx])
+                violations.append({"subset": [v for v in range(n) if mask >> v & 1], "size": size,
+                                   "edges": int(counts[idx]), "bound": float(floors[size])})
+    return SubsetAuditReport(level, "sampled", samples, violations, seed=seed)
 
 
 def size_minima(level: int) -> list[int]:

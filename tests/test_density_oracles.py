@@ -99,6 +99,18 @@ def test_triple_exact_matches_gray_scan_one_x_per_block(h, d, eta):
     assert same(report, triple_exact(h, query))
 
 
+@ORACLE_SETTINGS
+@given(hosts(max_n=10), densities, etas, st.lists(grid_etas, min_size=1, max_size=4))
+def test_vertex_and_profile_exact_match_gray_scan_three_masks_per_block(h, d, eta, grid):
+    # three masks per block: a size's minimisers then span many blocks
+    query = DensityQuery(d=d, eta=eta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_SCAN_BLOCK", 3)
+        vertex, profile = _vertex_exact(h, query), density_profile(h, grid)
+    assert same(vertex, vertex_exact(h, query))
+    assert same(profile, profile_exact(h, grid))
+
+
 def triple_host(kind: str, n: int) -> Hypergraph:
     if kind == "empty":
         return Hypergraph(3, n, ())

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import isclose
 
 import numpy as np
@@ -18,7 +19,7 @@ from hyperdense import (
 from hyperdense import inequalities
 from hyperdense.inequalities import density_floor
 from hyperdense.ternary import kary_hom_counts
-from inequality_oracles import grid_gaps, grid_scan
+from inequality_oracles import grid_gaps, grid_scan, sorted_scan
 from kary_oracles import vector_of
 
 
@@ -71,9 +72,32 @@ def test_scan_rejects_degenerate_resolution():
 
 # The pruned scan against the full-grid scan it replaced.  Resolutions
 # 127-130 and 257 sit on the 64-, 32- and 2-wide block edges.
-@pytest.mark.parametrize("resolution", [*range(2, 71), 127, 128, 129, 130, 201, 257])
+SCAN_RESOLUTIONS = [*range(2, 71), 127, 128, 129, 130, 201, 257]
+
+
+@pytest.mark.parametrize("resolution", SCAN_RESOLUTIONS)
 def test_scan_matches_full_grid_scan(resolution):
     assert scan_inequality(resolution) == grid_scan(resolution)
+
+
+# Seven points per gap block split the kept points, which come unsorted,
+# into many blocks, so the exact zeros on the segments (t, t, 0) tie the
+# origin's across blocks from r = 65 on (29 points at r = 401).  The origin
+# is kept first; reversed, it comes last, after every other tied point.
+# Either way the lexicographically least argmin must win.
+@pytest.mark.parametrize("order", ["kept", "reversed"])
+@pytest.mark.parametrize("resolution", SCAN_RESOLUTIONS)
+def test_blocked_scan_keeps_the_least_argmin_across_blocks(monkeypatch, resolution, order):
+    monkeypatch.setattr(inequalities, "_GAP_BLOCK", 7)
+    if order == "reversed":
+        kept = inequalities._candidate_points
+        monkeypatch.setattr(inequalities, "_candidate_points", lambda grid: [p[::-1] for p in kept(grid)])
+    assert scan_inequality(resolution) == grid_scan(resolution)
+
+
+def test_scan_at_the_resolution_limit_matches_the_sorted_int32_scan():
+    limit = inequalities.FACT7_RESOLUTION_LIMIT
+    assert scan_inequality(limit) == sorted_scan(limit)
 
 
 @pytest.mark.parametrize("resolution", [7, 33, 65, 101])
@@ -95,6 +119,20 @@ def test_pruning_keeps_few_points_at_bench_resolution():
     i, _, _ = inequalities._candidate_points(np.linspace(0.0, 1.0, 401))
     assert len(i) == 94_721
     assert len(i) < 0.002 * 401**3
+
+
+def test_scan_peak_stays_below_three_megabytes():
+    # The kept points at r = 401 take 0.57 MB as int16 indices; one block of
+    # gaps takes a few 128 KiB float arrays.  Gaps evaluated all at once,
+    # from int32 points sorted by a lexsort, peaked at 5.69 MB.
+    scan_inequality(401)
+    tracemalloc.start()
+    try:
+        scan_inequality(401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 # --- the per-subset edge floor -----------------------------------------------------

@@ -3,8 +3,11 @@
 ``build_kary`` must emit the very edge tuple of the recursive builder that
 sorts every level.
 
-The subset audit's split counter and its size minima must equal counts
-taken edge by edge in ``build_kary(3, level)``, and ``kary_hom_counts`` at
+The subset audit's split counter, its lookup-table counter and its size
+minima must equal counts taken edge by edge in ``build_kary(3, level)``,
+and the sampled audit must list the violations of the recursive audit it
+replaced, in the same order, when a raised floor makes many subsets
+violate it.  ``kary_hom_counts`` at
 each depth must equal ``count_homomorphisms`` into the built host.
 Patterns include the empty one, isolated vertices, and patterns that embed
 into no digit-string host.  The propagated split enumeration must list the
@@ -18,9 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kary_oracles import edge_mask_counts, recursive_build_kary, size_minima, splits
-from hyperdense import Hypergraph, count_homomorphisms, enumerate_hypergraphs, induced_edge_count
-from hyperdense.inequalities import _extremal_subset, _size_minima, _split_counts
+from kary_oracles import edge_mask_counts, recursive_build_kary, recursive_sampled_audit, size_minima, splits
+from hyperdense import Hypergraph, audit_kary_subsets, count_homomorphisms, enumerate_hypergraphs, induced_edge_count
+from hyperdense import inequalities
+from hyperdense.inequalities import _extremal_subset, _size_minima, _split_counts, _table_counter
 from hyperdense.seeding import derive_rng
 from hyperdense.ternary import _splits, build_kary, kary_hom_counts
 
@@ -43,6 +47,32 @@ def test_split_counts_match_edge_masks(case):
     counts, sizes = _split_counts(masks, level)
     assert counts.tolist() == edge_mask_counts(masks, level).tolist()
     assert sizes.tolist() == [bin(m).count("1") for m in drawn]
+
+
+@ORACLE_SETTINGS
+@given(st.integers(1, 3).flatmap(
+    lambda level: st.tuples(st.just(level), st.lists(st.integers(0, (1 << 3**level) - 1), min_size=1, max_size=64))
+))
+def test_table_counts_match_edge_masks_and_split_counts(case):
+    level, drawn = case
+    masks = np.array(drawn, dtype=np.int64)
+    counts, sizes = _table_counter(level)(masks)
+    assert counts.tolist() == edge_mask_counts(masks, level).tolist()
+    split_counts, split_sizes = _split_counts(masks, level)
+    assert counts.tolist() == split_counts.tolist()
+    assert sizes.tolist() == split_sizes.tolist()
+
+
+# 40,000 samples take two draws of the random stream, the second one short
+@pytest.mark.parametrize("level, samples, violating", [(1, 3000, 363), (2, 3000, 888), (3, 3000, 11),
+                                                       (2, 40_000, 11_540)])
+def test_sampled_audit_lists_the_recursive_audits_violations(monkeypatch, level, samples, violating):
+    # a floor raised by s**2 / 4 puts many drawn subsets below it at every level
+    real_floor = inequalities.density_floor
+    monkeypatch.setattr(inequalities, "density_floor", lambda size, lvl: real_floor(size, lvl) + size * size / 4)
+    report = audit_kary_subsets(level, mode="sampled", samples=samples, seed=7)
+    assert len(report.violations) == violating
+    assert report.to_dict() == recursive_sampled_audit(level, samples, 7).to_dict()
 
 
 def test_size_minima_match_full_scan():
