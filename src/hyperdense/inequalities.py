@@ -76,11 +76,10 @@ def scan_inequality(resolution: int) -> tuple[float, tuple[float, float, float]]
         raise ValueError(f"resolution is limited to <= {FACT7_RESOLUTION_LIMIT}")
     grid = np.linspace(0.0, 1.0, resolution)
     points = _candidate_points(grid)
-    x_pow = np.array([x**TAU for x in grid])
     best, key = math.inf, 0
     for start in range(0, len(points[0]), _GAP_BLOCK):
         i, j, k = (p[start:start + _GAP_BLOCK] for p in points)
-        gaps = _point_gaps(grid, i, j, k, x_pow)
+        gaps = _point_gaps(grid, i, j, k)
         low = gaps.min()
         if low <= best:
             tied = np.flatnonzero(gaps == low)
@@ -127,17 +126,13 @@ def _candidate_points(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return i, j, k
 
 
-def _point_gaps(grid: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray,
-                x_pow: np.ndarray | None = None) -> np.ndarray:
+def _point_gaps(grid: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The gap at the grid points (i, j, k), bit for bit as a scan of the
     whole grid computes it one x-slice at a time: x**tau as a scalar power,
-    y**tau and z**tau as array powers, and the sums in the scan's order.
-    A caller that evaluates many blocks passes the scalar powers x_pow of
-    the whole grid once."""
+    y**tau and z**tau as array powers, and the sums in the scan's order."""
     import numpy as np
 
-    if x_pow is None:
-        x_pow = np.array([x**TAU for x in grid])
+    x_pow = np.array([x**TAU for x in grid])
     grid_pow = grid**TAU
     x, y, z = grid[i], grid[j], grid[k]
     scale = 3.0 ** (3.0 - TAU)
