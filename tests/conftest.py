@@ -1,8 +1,20 @@
+import tracemalloc
+
 import pytest
 
 from hyperdense import Hypergraph, complete_hypergraph, parse_hypergraph
 
 C5_MINUS_TEXT = "3 5 4\n0 1 2\n1 2 3\n2 3 4\n3 4 0\n"
+
+
+def peak_bytes(thunk) -> int:
+    """The largest traced allocation total while thunk() runs."""
+    tracemalloc.start()
+    try:
+        thunk()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 # tight 5-cycle 0-1-2-3-4 minus the edge {0,1,4}; under the correspondence
 # v=0, w=1, x=2, y=3, z=4 the reference ordering x<w<v<z<y reads [2,1,0,4,3]

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import comb, isclose
@@ -30,6 +29,7 @@ from hyperdense.density import (
 )
 from hyperdense.inequalities import RHO
 from hyperdense.seeding import derive_rng
+from conftest import peak_bytes
 
 
 def random_host(rng, n, p):
@@ -231,19 +231,12 @@ def test_exact_vertex_and_profile_peaks_stay_near_their_tables():
     # At n = 20 with int16 counts the subset tables take 3 * 2**20 bytes.  A
     # size's minimisers are looked up block by block; three 2**20-entry bool
     # arrays at once took the peak to 5.25 MB.
-    rng = derive_rng(20, "peak-host")
-    h = Hypergraph(3, 20, tuple(e for e in combinations(range(20), 3) if rng.random() < 0.05))
+    h = random_host(derive_rng(20, "peak-host"), 20, 0.05)
     audits = [lambda: vertex_density_check(h, DensityQuery(d=0.05, eta=0.01)),
               lambda: density_profile(h, [0.25, 0.5, 0.75, 1.0])]
     for audit in audits:
         audit()
-        tracemalloc.start()
-        try:
-            audit()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * (1 << 20) + 500_000
+        assert peak_bytes(audit) < 3 * (1 << 20) + 500_000
 
 
 def test_profile_brute_force_agreement():

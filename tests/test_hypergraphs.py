@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -28,7 +27,7 @@ from hyperdense.ternary import build_kary
 
 from backtrack_oracles import first_copy, naive_contains_copy
 from hypergraph_oracles import canonical_form_error
-from conftest import C5_MINUS_TEXT
+from conftest import C5_MINUS_TEXT, peak_bytes
 
 
 def small_hypergraphs(max_n=6, k=3):
@@ -345,15 +344,6 @@ def test_hom_tight_paths_into_t4():
     t4 = build_kary(3, 4)
     assert count_homomorphisms(Hypergraph(3, 4, ((0, 1, 2), (1, 2, 3))), t4) == 3311280
     assert count_homomorphisms(Hypergraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4))), t4) == 87169608
-
-
-def peak_bytes(thunk) -> int:
-    tracemalloc.start()
-    try:
-        thunk()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_hom_memo_stays_within_the_host_index():

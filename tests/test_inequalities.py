@@ -1,4 +1,3 @@
-import tracemalloc
 from math import isclose
 
 import numpy as np
@@ -20,6 +19,7 @@ from hyperdense import inequalities
 from hyperdense.inequalities import density_floor
 from hyperdense.ternary import kary_hom_counts
 from inequality_oracles import grid_gaps, grid_scan, sorted_scan
+from conftest import peak_bytes
 from kary_oracles import vector_of
 
 
@@ -126,13 +126,7 @@ def test_scan_peak_stays_below_three_megabytes():
     # gaps takes a few 128 KiB float arrays.  Gaps evaluated all at once,
     # from int32 points sorted by a lexsort, peaked at 5.69 MB.
     scan_inequality(401)
-    tracemalloc.start()
-    try:
-        scan_inequality(401)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3_000_000
+    assert peak_bytes(lambda: scan_inequality(401)) < 3_000_000
 
 
 # --- the per-subset edge floor -----------------------------------------------------
