@@ -8,9 +8,12 @@ as parsed, defaults included.  Only `generate`, `audit` and `audit-tn`
 draw random numbers, so only they take ``--seed``.
 
 Each command imports the modules it runs inside its body, so a cold start
-loads only those (and numpy only where a density audit, the cube scan, a
-sampled subset audit, the rainbow selection or a hom count into a host of
-at least 27**3 tensor cells needs it).
+loads only those.  It loads numpy only where one of these needs it: a
+heuristic or three-set density audit, an exact vertex or profile audit on
+more than density.PYTHON_TABLE_LIMIT (12) vertices, the cube scan, a
+sampled subset audit, the rainbow selection on more than
+reduced.PYTHON_INDEX_LIMIT (10) indices, or a hom count into a host of at
+least 27**3 tensor cells.
 """
 
 from __future__ import annotations

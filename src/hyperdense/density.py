@@ -9,9 +9,11 @@ Three notions are audited:
 * profile: per eta, the minimum of |edges inside U| / C(|U|, 3) over
            subsets with |U| >= ceil(eta * n).
 
-Exact mode reads one numpy table of e(U) for every subset U (vertex and
-profile; int16 counts below 2**15 edges), or the codegrees of a block of
-about 2**14 (X, Y) pairs at once, a few X rows against every Y (triple).
+Exact mode reads one table of e(U) for every subset U (vertex and
+profile): Python lists up to PYTHON_TABLE_LIMIT vertices, so that those
+audits load no numpy, and past it a numpy table of int16 counts (int32
+from 2**15 edges).  The triple notion reads the codegrees of a block of
+about 2**14 (X, Y) pairs at once, a few X rows against every Y.
 Heuristic mode runs all seeded random restarts in lockstep, one numpy
 column per restart, in blocks of about _RESTART_BLOCK cells (a cell is one
 vertex or incidence entry of one restart).  For vertex and profile it is a
@@ -46,6 +48,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 VERTEX_EXACT_LIMIT = 24
+# Hosts of at most this many vertices get the exact vertex and profile
+# audits' subset tables as Python lists, so those audits load no numpy.  A
+# cold import of numpy takes 130-150 ms.  An audit on Python lists takes
+# about 0.5 ms at n = 10, 1-1.6 ms at n = 12, 4 ms at n = 14 and 14 ms at
+# n = 16, on numpy tables 0.4-1.2 ms once numpy is loaded (2-vCPU Xeon).
+# At 12 a process that has loaded numpy anyway loses at most about 1 ms a call.
+PYTHON_TABLE_LIMIT = 12
 TRIPLE_EXACT_LIMIT = 10
 # Largest host of the heuristic audits.  At n = 10**4 the default vertex
 # audit of an empty 3-graph (64 restarts of 1000 flips each) takes about
@@ -169,12 +178,17 @@ def _fill_subset_counts(out: np.ndarray, k: int, edges: Sequence[tuple[int, ...]
             high[:] = low
 
 
-def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]:
-    """m(s) = min e(U) over |U| = s for s = 0..n, and a function giving the
-    masks that attain m(s), in increasing order, found _SCAN_BLOCK masks at
-    a time.  No count exceeds the edge count, so the counts are int16 below
-    2**15 edges and int32 from there: the tables take 3 or 5 * 2**n bytes
-    with the uint8 sizes."""
+def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
+    """m(s) = min e(U) over |U| = s for s = 0..n, and two picks among the
+    masks that attain m(s): the one whose sorted vertex tuple is
+    lexicographically least, and the one a Gray-code walk from 0 meets
+    first.  Hosts of at most PYTHON_TABLE_LIMIT vertices are tabled in
+    Python lists (_size_minima_py).  Larger ones take numpy tables, whose
+    minimisers are found _SCAN_BLOCK masks at a time.  No count exceeds the
+    edge count, so the counts are int16 below 2**15 edges and int32 from
+    there: the tables take 3 or 5 * 2**n bytes with the uint8 sizes."""
+    if h.n <= PYTHON_TABLE_LIMIT:
+        return _size_minima_py(h)
     # imported here, not at the top: only the audits need numpy, and
     # commands that run none of them start without loading it
     import numpy as np
@@ -194,7 +208,43 @@ def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], np.ndarray]]
             for start in range(0, len(counts), _SCAN_BLOCK)
         ])
 
-    return minima.tolist(), minimisers
+    return (minima.tolist(), lambda s: _lex_least(minimisers(s), h.n),
+            lambda s: _first_in_gray_order(minimisers(s)))
+
+
+def _subset_counts_py(n: int, k: int, edges: Sequence[tuple[int, ...]]) -> list[int]:
+    """[#{given sorted k-sets inside U} for every mask U < 2**n], by the
+    subset doubling of _fill_subset_counts, on Python lists."""
+    if k == 0:
+        return [len(edges)] * (1 << n)
+    by_top: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for e in edges:
+        by_top[e[-1]].append(e[:-1])
+    out = [0]
+    for v, rests in enumerate(by_top):
+        if rests:
+            out += [low + high for low, high in zip(out, _subset_counts_py(v, k - 1, rests))]
+        else:
+            out += out
+    return out
+
+
+def _size_minima_py(h: Hypergraph) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
+    """_size_minima from Python lists of e(U) and |U|, each size's
+    minimisers collected in one pass over the masks."""
+    n = h.n
+    counts = _subset_counts_py(n, h.k, h.edges)
+    sizes = _subset_counts_py(n, 1, [(v,) for v in range(n)])
+    minima = [h.edge_count] * (n + 1)
+    for count, size in zip(counts, sizes):
+        if count < minima[size]:
+            minima[size] = count
+    minimisers: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask, (count, size) in enumerate(zip(counts, sizes)):
+        if count == minima[size]:
+            minimisers[size].append(mask)
+    return (minima, lambda s: min(minimisers[s], key=lambda mask: _decode(mask, n)),
+            lambda s: min(minimisers[s], key=_gray_rank))
 
 
 def _lex_least(masks: np.ndarray, n: int) -> int:
@@ -206,12 +256,17 @@ def _lex_least(masks: np.ndarray, n: int) -> int:
     return int(masks[0])
 
 
+def _gray_rank(rank: int | np.ndarray) -> int | np.ndarray:
+    """The inverse Gray code of a mask below 2**32, or in place of an array
+    of them: the step at which a Gray-code walk from 0 meets it."""
+    for shift in (1, 2, 4, 8, 16):
+        rank ^= rank >> shift
+    return rank
+
+
 def _first_in_gray_order(masks: np.ndarray) -> int:
     """The mask a Gray-code walk from 0 meets first: least inverse-Gray rank."""
-    rank = masks.copy()
-    for shift in (1, 2, 4, 8, 16):  # enough for masks below 2**32
-        rank ^= rank >> shift
-    return int(masks[rank.argmin()])
+    return int(masks[_gray_rank(masks.copy()).argmin()])
 
 
 def _check_heuristic_host(h: Hypergraph) -> None:
@@ -259,12 +314,12 @@ def vertex_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
 def _vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     n = h.n
     penalty = query.eta * n ** h.k
-    minima, minimisers = _size_minima(h)
+    minima, lex_least, _ = _size_minima(h)
     slacks = [minima[s] - query.d * comb(s, h.k) + penalty for s in range(n + 1)]
     best = min(slacks)
     # the least vertex tuple among all minimisers: per size, then across sizes; () precedes all
     tied = [s for s in range(n + 1) if slacks[s] == best]
-    subset = min(_decode(_lex_least(minimisers(s), n), n) for s in tied) if tied[0] else ()
+    subset = min(_decode(lex_least(s), n) for s in tied) if tied[0] else ()
     return _exact_report(
         "vertex", query, best, {"U": list(subset)},
         {"subsets_examined": 1 << n, "argmin": list(subset), "uniformity": h.k},
@@ -665,9 +720,9 @@ def density_profile(
 
 def _profile_exact(h: Hypergraph, eta_grid: Sequence[float]) -> ProfileReport:
     n, k = h.n, h.k
-    minima, minimisers = _size_minima(h)
+    minima, _, first_in_gray_order = _size_minima(h)
     ratios = {s: minima[s] / comb(s, k) for s in range(k, n + 1)}
-    subset = cache(lambda s: _decode(_first_in_gray_order(minimisers(s)), n))
+    subset = cache(lambda s: _decode(first_in_gray_order(s), n))
     entries = []
     for eta in eta_grid:
         floor = size_floor(eta, n, k)

@@ -11,9 +11,12 @@ constituent edge.
 The constituents are kept as two flat integer columns: the edges of the
 t-th triple of combinations(range(m), 3) are codes[offsets[t]:offsets[t+1]],
 each class edge (p, q, r) of (i, j, k) coded as (p |P^{ik}| + q) |P^{jk}| + r
-and sorted.  Building, parsing and verifying stay in pure Python; the
-selection views the columns through numpy and computes each stage's
-candidate table for every triple at once.
+and sorted.  Building, parsing and verifying stay in pure Python.  Up to
+PYTHON_INDEX_LIMIT indices the selection stays in pure Python too: it
+counts a triple's candidates by bisecting its sorted codes, one triple at
+a time.  Past the limit it views the columns through numpy and computes
+each stage's candidate table for every triple at once.  Both give the
+same selections, verdicts and messages.
 
 The selections follow the staged degree-threshold mechanism greedily
 (keep the choice that leaves the most future indices alive, ties broken
@@ -25,19 +28,22 @@ this module.
 The input's mu-density is checked exactly, against the decimal that mu
 names.  On a mu-dense input every stage's candidate sets meet their floor
 (mu/2 of the anchored class for red, mu/4 for blue and green); the
-pipeline checks each floor once, on the stage's table, and reports a
-breach as an internal fault (RuntimeError), not as an input error.
+pipeline checks each floor once, on the stage's candidate sets, and
+reports a breach as an internal fault (RuntimeError), not as an input
+error.
 """
 
 from __future__ import annotations
 
 import json
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from math import comb
-from typing import TYPE_CHECKING, Collection, Optional, Sequence
+from math import comb, prod
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,6 +59,14 @@ Selection = tuple[tuple[int, ...], dict[Pair, object]]  # chosen indices, elemen
 # 2 s, and the whole process peaks at about 66 MB.
 INDEX_LIMIT = 64
 CLASS_SIZE_LIMIT = 64
+# Inputs of at most this many indices take the density test and the stage
+# instances triple by triple in Python, so that select loads no numpy.  A
+# cold import of numpy takes 130-150 ms.  A selection in Python takes about
+# 0.5 ms at m = 6, 2-3 ms at m = 10, 3.5 ms at m = 12 and 22 ms at m = 24,
+# with numpy 0.5, 1-1.3, 1.5 and 6 ms once numpy is loaded (2-vCPU Xeon,
+# class sizes 2 and 3).  At 10 a process that has loaded numpy anyway loses
+# at most about 2 ms a call; the benchmark's search instances have m = 24-32.
+PYTHON_INDEX_LIMIT = 10
 
 
 class MuDensityError(ValueError):
@@ -119,8 +133,13 @@ class ReducedHypergraph:
         if not 0 <= i < j < k < self.m:
             raise ValueError(f"triple {triple} must name three distinct indices in [0, {self.m})")
         b, c = self.class_sizes[(i, k)], self.class_sizes[(j, k)]
-        t = comb(self.m, 3) - comb(self.m - i, 3) + comb(self.m - 1 - i, 2) - comb(self.m - j, 2) + k - j - 1
+        t = _row(self.m, i, j, k)
         return frozenset((x // c // b, x // c % b, x % c) for x in self.codes[self.offsets[t]:self.offsets[t + 1]])
+
+
+def _row(m: int, i: int, j: int, k: int) -> int:
+    """The position of the triple i < j < k in combinations(range(m), 3)."""
+    return comb(m, 3) - comb(m - i, 3) + comb(m - 1 - i, 2) - comb(m - j, 2) + k - j - 1
 
 
 @dataclass(frozen=True)
@@ -174,12 +193,17 @@ def _columns(rh: ReducedHypergraph) -> _Columns:
                     (p, q, qr - q * c), int(size_of.max()))
 
 
+def _mu_bound(mu: float) -> Fraction:
+    """The decimal that mu names, exactly, once mu lies in [0, 1]."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError("mu must lie in [0, 1]")
+    return Fraction(str(mu))
+
+
 def _mu_density(cols: _Columns, mu: float) -> tuple[bool, Optional[Triple]]:
     import numpy as np
 
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    bound = Fraction(str(mu))
+    bound = _mu_bound(mu)
     counts = np.bincount(cols.triple_of, minlength=len(cols.triples))
     products = cols.sizes.prod(axis=1)
     # per distinct class product, only its least count can miss the bound;
@@ -192,11 +216,33 @@ def _mu_density(cols: _Columns, mu: float) -> tuple[bool, Optional[Triple]]:
     return dense, worst
 
 
+def _mu_density_py(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple]]:
+    """_mu_density one constituent at a time, its edge count read off the offsets."""
+    bound = _mu_bound(mu)
+    triples = list(combinations(range(rh.m), 3))
+    counts = [end - start for start, end in zip(rh.offsets, rh.offsets[1:])]
+    products = [rh.class_sizes[(i, j)] * rh.class_sizes[(i, k)] * rh.class_sizes[(j, k)] for i, j, k in triples]
+    dense = all(count * bound.denominator >= bound.numerator * product
+                for count, product in zip(counts, products))
+    worst = min(range(len(triples)), key=lambda t: counts[t] / products[t], default=None)
+    return dense, None if worst is None else triples[worst]
+
+
+def _kernels(rh: ReducedHypergraph) -> tuple[Callable, Callable]:
+    """The mu-density test (of mu) and the stage instance function (of
+    stage, index, mu, picks) for rh: triple by triple in Python up to
+    PYTHON_INDEX_LIMIT indices, whole-stage numpy tables past it."""
+    if rh.m <= PYTHON_INDEX_LIMIT:
+        return partial(_mu_density_py, rh), partial(_stage_instance_py, rh)
+    cols = _columns(rh)
+    return partial(_mu_density, cols), partial(_stage_instance, cols)
+
+
 def is_mu_dense(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple]]:
     """Whether every constituent has density >= mu, compared exactly against
     the decimal that mu names; also the worst triple (None when m < 3 and
     there are no constituents at all)."""
-    return _mu_density(_columns(rh), mu)
+    return _kernels(rh)[0](mu)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +443,6 @@ def _stage_instance(cols: _Columns, stage: str, index: Sequence[int], mu: float,
     if len(breach):
         t = breach[0]
         raise RuntimeError(f"{stage} candidate set has {int(held[t])} elements, below {float(floor[t])}")
-    positions = range(len(index))
-    classes = {(a, b): tuple(range(cols.class_sizes[(index[a], index[b])]))
-               for a, b in combinations(positions, 2)}
     # each row's bits as one bytes key (numpy drops its trailing zero bytes);
     # one frozenset per distinct key, shared by every triple that has it
     packed = np.packbits(table, axis=1, bitorder="little")
@@ -408,8 +451,61 @@ def _stage_instance(cols: _Columns, stage: str, index: Sequence[int], mu: float,
     for key in set(keys):
         bits = int.from_bytes(key, "little")
         sets[key] = frozenset(v for v in range(cols.width) if bits >> v & 1)
-    cands = dict(zip(combinations(positions, 3), map(sets.__getitem__, keys)))
-    return SelectionInstance(len(index), classes, cands)
+    return _instance(cols.class_sizes, index, map(sets.__getitem__, keys))
+
+
+def _instance(class_sizes: dict[Pair, int], index: Sequence[int], sets: Iterable[frozenset]) -> SelectionInstance:
+    """The instance over the positions of the increasing index tuple: the
+    class of every index pair, and the given candidate sets, one per index
+    triple in combinations order."""
+    positions = range(len(index))
+    classes = {(a, b): tuple(range(class_sizes[(index[a], index[b])])) for a, b in combinations(positions, 2)}
+    return SelectionInstance(len(index), classes, dict(zip(combinations(positions, 3), sets)))
+
+
+def _stage_candidates_py(rh: ReducedHypergraph, stage: str, index: Sequence[int], mu: float,
+                         picks: Sequence[dict[Pair, int]]) -> list[frozenset]:
+    """The candidate sets of _stage_table, one per triple of the increasing
+    index tuple, computed triple by triple in Python.  The picks fix the
+    leading digits of a code and v the next one, so in a triple's sorted
+    codes the class edges through the picks whose stage slot holds v form
+    one run: v's count is its length, read off the run ends that bisection
+    finds for every v."""
+    slot = _STAGES[stage][0]
+    out = []
+    for triple in combinations(index, 3):
+        i, j, k = triple
+        sizes = (rh.class_sizes[(i, j)], rh.class_sizes[(i, k)], rh.class_sizes[(j, k)])
+        lead = 0
+        for s, chosen in enumerate(picks):
+            a, b = _SLOT_PAIRS[s]
+            lead = lead * sizes[s] + chosen[(triple[a], triple[b])]
+        run, t = prod(sizes[slot + 1:]), _row(rh.m, i, j, k)
+        ends = [bisect_left(rh.codes, (lead * sizes[slot] + v) * run, rh.offsets[t], rh.offsets[t + 1])
+                for v in range(sizes[slot] + 1)]
+        if stage == "red":
+            threshold = mu / 2 * sizes[1] * sizes[2]
+        elif stage == "blue":
+            threshold = mu / 4 * sizes[2]
+        else:
+            threshold = 1
+        out.append(frozenset(v for v in range(sizes[slot]) if ends[v + 1] - ends[v] >= threshold))
+    return out
+
+
+def _stage_instance_py(rh: ReducedHypergraph, stage: str, index: Sequence[int], mu: float,
+                       picks: Sequence[dict[Pair, int]]) -> SelectionInstance:
+    """_stage_instance triple by triple in Python: each candidate set is
+    checked against mu/2 (red) or mu/4 (blue, green) times the class of its
+    anchor pair, in combinations order."""
+    slot, d = _STAGES[stage]
+    x, y = _SLOT_PAIRS[slot]
+    sets = _stage_candidates_py(rh, stage, index, mu, picks)
+    for triple, held in zip(combinations(index, 3), sets):
+        floor = mu / d * rh.class_sizes[(triple[x], triple[y])]
+        if len(held) < floor - 1e-9:
+            raise RuntimeError(f"{stage} candidate set has {len(held)} elements, below {floor}")
+    return _instance(rh.class_sizes, index, sets)
 
 
 def _on_indices(index: Sequence[int], result: Selection) -> Selection:
@@ -424,27 +520,27 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
     direct membership sets.  Success is verified; failure is honest."""
     if f < 1:
         raise ValueError("need f >= 1")
-    cols = _columns(rh)
-    dense, worst = _mu_density(cols, mu)
+    mu_density, stage_instance = _kernels(rh)
+    dense, worst = mu_density(mu)
     if not dense:
         raise MuDensityError(f"input is not {mu}-dense (worst constituent {worst})")
 
     index = tuple(range(rh.m))
-    res = select_red(_stage_instance(cols, "red", index, mu, ()), None)
+    res = select_red(stage_instance("red", index, mu, ()), None)
     if res is None:
         raise RuntimeError("red selection without a target size failed")
     X, reds = _on_indices(index, res)
     if len(X) < f:
         return None
 
-    res = select_blue(_stage_instance(cols, "blue", X, mu, (reds,)), None)
+    res = select_blue(stage_instance("blue", X, mu, (reds,)), None)
     if res is None:
         raise RuntimeError("blue selection without a target size failed")
     W, blues = _on_indices(X, res)
     if len(W) < f:
         return None
 
-    res = select_green(_stage_instance(cols, "green", W, mu, (reds, blues)), f)
+    res = select_green(stage_instance("green", W, mu, (reds, blues)), f)
     if res is None:
         return None
     lam, greens = _on_indices(W, res)

@@ -700,14 +700,34 @@ def test_failed_self_check_exits_4_under_optimize(tmp_path):
 
 
 def test_reduced_floor_breach_exits_4_under_optimize(tmp_path):
-    # the stage floor is an explicit check: it holds under python -O too
+    # the stage floor is an explicit check: it holds under python -O too,
+    # here on the numpy tables that inputs past PYTHON_INDEX_LIMIT take
     path = write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(5, 2)))
     script = (
         "import sys\n"
         "from hyperdense import cli, reduced\n"
         "assert False, 'python -O did not strip asserts'\n"
+        "reduced.PYTHON_INDEX_LIMIT = 4\n"
         "table = reduced._stage_table\n"
         "reduced._stage_table = lambda *args: (table(*args)[0], table(*args)[1] & False)\n"
+        f"sys.exit(cli.main(['reduced', 'select', {path!r}, '--mu', '1.0', '--f', '3']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: internal fault: RuntimeError: red candidate set has 0 elements, below 1.0\n"
+
+
+def test_reduced_floor_breach_in_python_exits_4_under_optimize(tmp_path):
+    # the same explicit check on the candidate sets built triple by triple
+    path = write(tmp_path, "reduced.json", serialize_reduced_json(complete_reduced(5, 2)))
+    script = (
+        "import sys\n"
+        "from hyperdense import cli, reduced\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        "sets = reduced._stage_candidates_py\n"
+        "reduced._stage_candidates_py = lambda *args: [frozenset() for _ in sets(*args)]\n"
         f"sys.exit(cli.main(['reduced', 'select', {path!r}, '--mu', '1.0', '--f', '3']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))

@@ -23,7 +23,7 @@ from gray_oracles import profile_exact, triple_exact, triple_exact_by_x, vertex_
 import numpy as np
 
 from heuristic_oracles import codegrees, profile_heuristic, triple_heuristic, vertex_heuristic
-from hyperdense import DensityQuery, Hypergraph, density, density_profile
+from hyperdense import DensityQuery, Hypergraph, density, density_profile, vertex_density_check
 from hyperdense.density import (
     _codegree_index,
     _codegrees,
@@ -41,9 +41,9 @@ ORACLE_SETTINGS = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def hosts(draw, max_n, uniformities=(2, 3, 4), often_below_k=False):
+def hosts(draw, max_n, uniformities=(2, 3, 4), often_below_k=False, min_n=0):
     k = draw(st.sampled_from(uniformities))
-    n = draw(st.integers(0, k - 1) if often_below_k and draw(st.booleans()) else st.integers(0, max_n))
+    n = draw(st.integers(0, k - 1) if often_below_k and draw(st.booleans()) else st.integers(min_n, max_n))
     candidates = list(combinations(range(n), k))
     kind = draw(st.sampled_from(["empty", "complete", "random"]))
     if kind == "empty":
@@ -102,13 +102,61 @@ def test_triple_exact_matches_gray_scan_one_x_per_block(h, d, eta):
 @ORACLE_SETTINGS
 @given(hosts(max_n=10), densities, etas, st.lists(grid_etas, min_size=1, max_size=4))
 def test_vertex_and_profile_exact_match_gray_scan_three_masks_per_block(h, d, eta, grid):
-    # three masks per block: a size's minimisers then span many blocks
+    # three masks per block: a size's minimisers then span many blocks.  The
+    # limit is lowered so that these small hosts take the numpy tables
     query = DensityQuery(d=d, eta=eta)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(density, "_SCAN_BLOCK", 3)
+        mp.setattr(density, "PYTHON_TABLE_LIMIT", -1)
         vertex, profile = _vertex_exact(h, query), density_profile(h, grid)
     assert same(vertex, vertex_exact(h, query))
     assert same(profile, profile_exact(h, grid))
+
+
+# Up to PYTHON_TABLE_LIMIT vertices the vertex and profile audits table
+# their subsets in Python lists, past it in numpy.  At the limit and one
+# past it each path is forced in turn, and the reports must equal each
+# other and the Gray-code scans.  Empty and complete hosts tie every subset
+# of a size, so there the Gray-order tie-break alone picks the profile
+# certificates; random hosts tie some subsets of a size, and there the
+# lexicographic tie-break picks the vertex certificate as well.
+TABLE_LIMIT = density.PYTHON_TABLE_LIMIT
+
+
+def on_both_tables(audit, n):
+    """audit() with an n-vertex host's tables in Python lists, then in numpy."""
+    reports = []
+    for limit in (n, n - 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(density, "PYTHON_TABLE_LIMIT", limit)
+            reports.append(audit())
+    return reports
+
+
+@pytest.mark.parametrize("n", [TABLE_LIMIT, TABLE_LIMIT + 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_python_and_numpy_tables_agree_at_the_limit(n, data):
+    h = data.draw(hosts(max_n=n, min_n=n, uniformities=(2, 3)))
+    query = DensityQuery(d=data.draw(densities), eta=data.draw(etas))
+    grid = data.draw(st.lists(grid_etas, min_size=1, max_size=4))
+    listed, tabled = on_both_tables(lambda: (_vertex_exact(h, query).to_dict(), density_profile(h, grid).to_dict()), n)
+    assert listed == tabled
+    assert listed == (vertex_exact(h, query).to_dict(), profile_exact(h, grid).to_dict())
+
+
+@pytest.mark.parametrize("n", [TABLE_LIMIT, TABLE_LIMIT + 1])
+@pytest.mark.parametrize("kind", ["empty", "complete", "random"])
+def test_checked_audits_agree_on_both_tables_at_the_limit(kind, n):
+    h = {"empty": Hypergraph(3, n, ()), "complete": Hypergraph(3, n, tuple(combinations(range(n), 3))),
+         "random": random_host(3, n, 0.3, n)}[kind]
+    grid = [0.1, 0.25, 0.5, 2 / 3, 1.0]
+    for d in (0.0, 0.05, 0.3, 1.0):
+        query = DensityQuery(d=d, eta=0.01)
+        listed, tabled = on_both_tables(lambda: vertex_density_check(h, query).to_dict(), n)
+        assert listed == tabled == vertex_exact(h, query).to_dict(), d
+    listed, tabled = on_both_tables(lambda: density_profile(h, grid).to_dict(), n)
+    assert listed == tabled == profile_exact(h, grid).to_dict()
 
 
 def triple_host(kind: str, n: int) -> Hypergraph:

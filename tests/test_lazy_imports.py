@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -142,13 +143,18 @@ def test_cli_pattern_maps_and_ternary_host_do_not_load_numpy(tmp_path, argv):
     assert loaded is False
 
 
-# The staged selection builds its candidate tables in numpy; parsing a
-# reduced hypergraph and verifying a selection stay in pure Python.
-@pytest.mark.parametrize("action, numpy_loaded", [("select", True), ("verify", False)])
+# The staged selection builds its candidate tables in numpy only past
+# PYTHON_INDEX_LIMIT indices; below it, and for parsing a reduced
+# hypergraph and verifying a selection, it stays in pure Python.
+@pytest.mark.parametrize("action, numpy_loaded", [("select", True), ("select", False), ("verify", False)])
 def test_reduced_select_loads_numpy_and_verify_does_not(tmp_path, action, numpy_loaded):
+    from hyperdense.reduced import PYTHON_INDEX_LIMIT
+
+    m = PYTHON_INDEX_LIMIT + 1 if numpy_loaded else 3
     reduced = tmp_path / "reduced.json"
-    reduced.write_text(json.dumps({"m": 3, "class_size": {"0,1": 1, "0,2": 1, "1,2": 1},
-                                   "constituents": {"0,1,2": [[0, 0, 0]]}}))
+    reduced.write_text(json.dumps({"m": m, "class_size": {f"{i},{j}": 1 for i, j in combinations(range(m), 2)},
+                                   "constituents": {f"{i},{j},{k}": [[0, 0, 0]]
+                                                    for i, j, k in combinations(range(m), 3)}}))
     selection = tmp_path / "sel.json"
     selection.write_text(json.dumps({"lambda": [0, 1, 2], "red": {"0,1": 0, "0,2": 0, "1,2": 0},
                                      "blue": {"0,1": 0, "0,2": 0, "1,2": 0},
@@ -163,6 +169,31 @@ def test_reduced_select_loads_numpy_and_verify_does_not(tmp_path, action, numpy_
     proc = fresh(script)
     assert json.loads(proc.stderr) == [0, numpy_loaded]
     assert json.loads(proc.stdout)["command"] == "reduced"
+
+
+# The exact vertex and profile audits table their subsets in Python lists up
+# to PYTHON_TABLE_LIMIT vertices, and in numpy past it.
+@pytest.mark.parametrize("notion", ["vertex", "profile"])
+@pytest.mark.parametrize("past_limit", [False, True])
+def test_exact_vertex_and_profile_audits_load_numpy_past_the_table_limit(tmp_path, notion, past_limit):
+    from hyperdense import Hypergraph, serialize_hypergraph
+    from hyperdense.density import PYTHON_TABLE_LIMIT
+
+    n = PYTHON_TABLE_LIMIT + past_limit
+    path = tmp_path / "host.hyg"
+    path.write_text(serialize_hypergraph(Hypergraph(3, n, tuple(combinations(range(n), 3))[::7])))
+    argv = ["audit", notion, str(path), "--d", "0.1", "--eta", "0.01", "--eta-grid", "0.5,1.0"]
+    script = (
+        "import json, sys\n"
+        "from hyperdense import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
+    )
+    proc = fresh(script)
+    code, loaded = json.loads(proc.stderr)
+    assert code in (0, 1)
+    assert json.loads(proc.stdout)["result"]["stats"]["subsets_examined"] == 1 << n
+    assert loaded is past_limit
 
 
 def test_parse_reduced_json_does_not_load_numpy():

@@ -293,10 +293,12 @@ STAGE_FAULTS = {
     "select_blue": "^blue selection without a target size failed$",
     # the red floor, mu/2 of a 2-vertex class
     "_stage_table": "^red candidate set has 0 elements, below 1.0$",
+    "_stage_candidates_py": "^red candidate set has 0 elements, below 1.0$",
 }
 
 
 STAGE_TABLE = reduced._stage_table
+STAGE_CANDIDATES_PY = reduced._stage_candidates_py
 
 
 def no_candidates(*args):
@@ -304,12 +306,24 @@ def no_candidates(*args):
     return rows, table & False
 
 
+def no_candidates_py(*args):
+    return [frozenset() for _ in STAGE_CANDIDATES_PY(*args)]
+
+
+def on_numpy_tables(monkeypatch):
+    """Send the 5-index instances below through the numpy tables."""
+    monkeypatch.setattr("hyperdense.reduced.PYTHON_INDEX_LIMIT", 4)
+
+
 @pytest.mark.parametrize(
     "stage, value",
-    [("select_red", None), ("select_blue", None), ("_stage_table", no_candidates)],
+    [("select_red", None), ("select_blue", None), ("_stage_table", no_candidates),
+     ("_stage_candidates_py", no_candidates_py)],
 )
 def test_pipeline_stage_fault_raises_runtime_error(monkeypatch, stage, value):
     # explicit checks, not asserts: they must also hold under python -O
+    if stage == "_stage_table":
+        on_numpy_tables(monkeypatch)
     monkeypatch.setattr(f"hyperdense.reduced.{stage}", value or (lambda *args: None))
     with pytest.raises(RuntimeError, match=STAGE_FAULTS[stage]):
         select_rainbow_core(complete_reduced(5, 2), 1.0, 3)
@@ -331,7 +345,21 @@ def test_blue_floor_breach_names_the_blue_stage(monkeypatch):
         rows, table = STAGE_TABLE(cols, stage, *args)
         return rows, table | (stage == "red")
 
+    on_numpy_tables(monkeypatch)
     monkeypatch.setattr("hyperdense.reduced._stage_table", red_takes_both)
+    with pytest.raises(RuntimeError, match="^blue candidate set has 0 elements, below 0.25$"):
+        select_rainbow_core(rh, 0.5, 3)
+
+
+def test_blue_floor_breach_names_the_blue_stage_in_python(monkeypatch):
+    # the same breach on the candidate sets built triple by triple
+    rh = keep_only(complete_reduced(5, 2), lambda e: e[0] == 1)
+
+    def red_takes_both(rh, stage, *args):
+        sets = STAGE_CANDIDATES_PY(rh, stage, *args)
+        return [frozenset({0, 1}) for _ in sets] if stage == "red" else sets
+
+    monkeypatch.setattr("hyperdense.reduced._stage_candidates_py", red_takes_both)
     with pytest.raises(RuntimeError, match="^blue candidate set has 0 elements, below 0.25$"):
         select_rainbow_core(rh, 0.5, 3)
 
@@ -346,6 +374,9 @@ def test_green_floor_breach_names_the_green_stage(monkeypatch):
         return indices, dict.fromkeys(choices, 0)
 
     monkeypatch.setattr("hyperdense.reduced.select_blue", pick_zero)
+    with pytest.raises(RuntimeError, match="^green candidate set has 0 elements, below 0.25$"):
+        select_rainbow_core(rh, 0.5, 3)
+    on_numpy_tables(monkeypatch)
     with pytest.raises(RuntimeError, match="^green candidate set has 0 elements, below 0.25$"):
         select_rainbow_core(rh, 0.5, 3)
 

@@ -1,14 +1,18 @@
-"""The staged selection's whole-stage tables against the per-triple references.
+"""The staged selection's two paths against the per-triple references.
 
-``select_rainbow_core`` computes the mu-density counts, every stage's
-candidate table and every floor check for all index triples at once, from
-the reduced hypergraph's flat columns.  ``reduced_oracles`` keeps the loops
-it replaced: one Python pass per triple for the density test and for each
-stage's candidates, and each stage built and its floors checked triple by
-triple.  Both must give the same density verdict and worst triple, the
-same candidate set for every triple, the same floor verdict (the same
-instance, or the same RuntimeError naming the first failing triple), and
-the same selection, None, or exception with the same text.
+Past ``PYTHON_INDEX_LIMIT`` indices ``select_rainbow_core`` computes the
+mu-density counts, every stage's candidate table and every floor check
+for all index triples at once, in numpy, from the reduced hypergraph's
+flat columns; up to the limit it counts each triple's candidates in
+Python by bisecting the triple's sorted codes.  ``reduced_oracles`` keeps
+the loops the tables replaced: one Python pass per triple for the density
+test and for each stage's candidates, and each stage built and its floors
+checked triple by triple.  Each path must give the references' density
+verdict and worst triple, the same candidate set for every triple, the
+same floor verdict (the same instance, or the same RuntimeError naming
+the first failing triple), and the same selection, None, or exception
+with the same text.  At the limit and one past it, both paths are forced
+in turn on the same inputs.
 
 Instances have 2-9 indices, class sizes 1-6 mixed within one instance and
 empty constituents; mu is 0 or 1 often, the exact density of a constituent
@@ -120,8 +124,10 @@ def test_stage_tables_and_floors_match_the_references(data):
     for stage, (chosen, candidates, fraction, anchor) in reference_stages(rh, index, mu, reds, blues).items():
         want = [candidates(*t) for t in combinations(index, 3)]
         assert table_sets(cols, stage, index, mu, chosen) == want, stage
-        assert outcome(reduced._stage_instance, cols, stage, index, mu, chosen) == \
-            outcome(oracle.stage_instance, rh, index, candidates, fraction, anchor), stage
+        assert reduced._stage_candidates_py(rh, stage, index, mu, chosen) == want, stage
+        expected = outcome(oracle.stage_instance, rh, index, candidates, fraction, anchor)
+        assert outcome(reduced._stage_instance, cols, stage, index, mu, chosen) == expected, stage
+        assert outcome(reduced._stage_instance_py, rh, stage, index, mu, chosen) == expected, stage
 
 
 # each floor lies a hair above 1 (mu/d times the class) while one vertex is a candidate
@@ -134,6 +140,7 @@ def test_a_floor_a_hair_above_an_integer_is_met_by_it(stage, sizes):
     chosen, candidates, fraction, anchor = reference_stages(rh, (0, 1, 2), mu, reds, blues)[stage]
     got = reduced._stage_instance(reduced._columns(rh), stage, (0, 1, 2), mu, chosen)
     assert got == oracle.stage_instance(rh, (0, 1, 2), candidates, fraction, anchor)
+    assert reduced._stage_instance_py(rh, stage, (0, 1, 2), mu, chosen) == got
 
 
 def test_padding_is_never_a_candidate():
@@ -168,6 +175,57 @@ def test_selection_matches_the_reference_on_mixed_instances():
         assert got == outcome(oracle.select_rainbow_core, rh, mu, f), (trial, mu, f)
         kinds["raised" if isinstance(got, tuple) else "none" if got is None else "selection"] += 1
     assert min(kinds.values()) >= 20, kinds  # every kind of outcome is exercised
+
+
+# Up to PYTHON_INDEX_LIMIT indices the selection runs triple by triple in
+# Python, past it on numpy tables.  At the limit and one past it each path
+# is forced in turn: both must give the reference's density verdict and
+# selection, None, or exception with the same text, mu outside [0, 1]
+# included.
+INDEX_LIMIT = reduced.PYTHON_INDEX_LIMIT
+
+
+def on_both_paths(fn, m, *args):
+    """The outcome of fn(*args) for an m-index input in Python, then on numpy tables."""
+    got = []
+    for limit in (m, m - 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduced, "PYTHON_INDEX_LIMIT", limit)
+            got.append(outcome(fn, *args))
+    return got
+
+
+@pytest.mark.parametrize("m", [INDEX_LIMIT, INDEX_LIMIT + 1])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_python_and_numpy_selections_agree_at_the_limit(m, data):
+    sizes, cons = parts(data.draw(st.integers(0, 2**32)), m, data.draw(st.integers(1, 4)),
+                        data.draw(st.sampled_from([0.5, 0.8, 1.0])), data.draw(st.sampled_from([0.0, 0.02])))
+    rh = ReducedHypergraph.from_parts(m, sizes, cons)
+    mu = data.draw(st.one_of(mus(rh), st.sampled_from([-0.5, 1.5, float("nan")])))
+    f = data.draw(st.integers(1, m))
+    assert on_both_paths(reduced.is_mu_dense, m, rh, mu) == [outcome(oracle.mu_dense, rh, mu)] * 2
+    want = outcome(oracle.select_rainbow_core, rh, mu, f)
+    assert on_both_paths(reduced.select_rainbow_core, m, rh, mu, f) == [want, want]
+
+
+@pytest.mark.parametrize("m", [INDEX_LIMIT, INDEX_LIMIT + 1])
+def test_python_and_numpy_selections_agree_on_every_outcome_at_the_limit(m):
+    rng = derive_rng(m, "selection-paths")
+    kinds = {"selection": 0, "none": 0, "not dense": 0, "mu range": 0}
+    for trial in range(60):
+        sizes, cons = parts(trial, m, rng.randint(1, 3), rng.choice([0.5, 0.8, 1.0]), rng.choice([0.0, 0.02]))
+        rh = ReducedHypergraph.from_parts(m, sizes, cons)
+        worst = min(len(rh.edges_of(t)) / oracle.class_product(rh, t) for t in combinations(range(m), 3))
+        mu = rng.choice([0.0, 1.0, worst, worst / 2, 1.5])
+        f = rng.randint(1, m)
+        listed, tabled = on_both_paths(reduced.select_rainbow_core, m, rh, mu, f)
+        assert listed == tabled == outcome(oracle.select_rainbow_core, rh, mu, f), (trial, mu, f)
+        if isinstance(listed, tuple):
+            kinds["mu range" if listed[1] == "mu must lie in [0, 1]" else "not dense"] += 1
+        else:
+            kinds["none" if listed is None else "selection"] += 1
+    assert min(kinds.values()) >= 5, kinds  # every kind of outcome is exercised
 
 
 def bench_inputs():
