@@ -11,12 +11,11 @@ constituent edge.
 The constituents are kept as two flat integer columns: the edges of the
 t-th triple of combinations(range(m), 3) are codes[offsets[t]:offsets[t+1]],
 each class edge (p, q, r) of (i, j, k) coded as (p |P^{ik}| + q) |P^{jk}| + r
-and sorted.  Building, parsing and verifying stay in pure Python.  Up to
-PYTHON_INDEX_LIMIT indices the selection stays in pure Python too: it
-counts a triple's candidates by bisecting its sorted codes, one triple at
-a time.  Past the limit it views the columns through numpy and computes
-each stage's candidate table for every triple at once.  Both give the
-same selections, verdicts and messages.
+and sorted.  Building, parsing and verifying stay in pure Python.  A stage
+counts a triple's candidates by bisecting its sorted codes, triple by
+triple in Python up to PYTHON_INDEX_LIMIT indices, and past the limit for
+every triple at once through numpy, on one increasing key column.  Both
+give the same selections, verdicts and messages.
 
 The selections follow the staged degree-threshold mechanism greedily
 (keep the choice that leaves the most future indices alive, ties broken
@@ -25,12 +24,13 @@ astronomically many indices, so at desk scale a selection may honestly
 fail; a returned success, however, is always verified before it leaves
 this module.
 
-The input's mu-density is checked exactly, against the decimal that mu
-names.  On a mu-dense input every stage's candidate sets meet their floor
-(mu/2 of the anchored class for red, mu/4 for blue and green); the
-pipeline checks each floor once, on the stage's candidate sets, and
-reports a breach as an internal fault (RuntimeError), not as an input
-error.
+The input's mu-density is checked exactly against the decimal that mu
+names, and so are every stage's candidate thresholds and floors
+(_stage_rule).  On a mu-dense input every stage's candidate sets meet
+their floor (mu/2 of the anchored class for red, mu/4 for blue and
+green); the pipeline checks each floor once, on the stage's candidate
+sets, and reports a breach as an internal fault (RuntimeError), not as an
+input error.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import comb, prod
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
@@ -53,19 +53,20 @@ Triple = tuple[int, int, int]
 ClassEdge = tuple[int, int, int]  # (vertex in P^{ij}, in P^{ik}, in P^{jk})
 Selection = tuple[tuple[int, ...], dict[Pair, object]]  # chosen indices, element per pair
 
-# Input sizes reduced_from_dict accepts.  A stage's table holds a count per
+# Input sizes reduced_from_dict accepts.  A stage's table holds a run end per
 # index triple and class vertex, about C(m, 3) times the class size entries;
 # with every class at both limits, mu = 0 and no edges, select takes about
-# 2 s, and the whole process peaks at about 66 MB.
+# 1.2 s, and the whole process peaks at about 90 MB (2-vCPU Xeon).
 INDEX_LIMIT = 64
 CLASS_SIZE_LIMIT = 64
 # Inputs of at most this many indices take the density test and the stage
 # instances triple by triple in Python, so that select loads no numpy.  A
 # cold import of numpy takes 130-150 ms.  A selection in Python takes about
-# 0.5 ms at m = 6, 2-3 ms at m = 10, 3.5 ms at m = 12 and 22 ms at m = 24,
-# with numpy 0.5, 1-1.3, 1.5 and 6 ms once numpy is loaded (2-vCPU Xeon,
-# class sizes 2 and 3).  At 10 a process that has loaded numpy anyway loses
-# at most about 2 ms a call; the benchmark's search instances have m = 24-32.
+# 0.4-0.5 ms at m = 6, 0.8-1 ms at m = 8, 1.4-1.9 ms at m = 10, 2.4-3 ms at
+# m = 12 and 17-39 ms at m = 24, with numpy 0.6, 0.7-0.9, 0.9-1.6, 1.4-1.6
+# and 8 ms once numpy is loaded (2-vCPU Xeon, class sizes 2 and 3).  At 10 a
+# process that has loaded numpy anyway loses at most about 1 ms a call; the
+# benchmark's search instances have m = 24-32.
 PYTHON_INDEX_LIMIT = 10
 
 
@@ -156,24 +157,26 @@ class CoreSelection:
 class _Columns:
     """A reduced hypergraph viewed through numpy, for the whole-stage tables.
 
-    m and class_sizes are the hypergraph's.  Row t of triples and of sizes
-    is the t-th triple (i, j, k) of combinations(range(m), 3) and its class
-    sizes |P^{ij}|, |P^{ik}|, |P^{jk}|.  Entry e of triple_of and of each
-    array in vertices belongs to one class edge: its triple's row and its
-    vertices p, q, r.  width is the largest class size, the padded width of
-    every stage table."""
+    m and class_sizes are the hypergraph's.  Row t of triples, sizes and
+    counts is the t-th triple (i, j, k) of combinations(range(m), 3), its
+    class sizes |P^{ij}|, |P^{ik}|, |P^{jk}| and its number of class edges.
+    keys holds the codes in their order, those of row t raised by span t,
+    where span is the largest class product: so keys increase, and row t's
+    codes are its keys in [span t, span (t + 1)).  width is the largest
+    class size, the padded width of every stage table."""
 
     m: int
     class_sizes: dict[Pair, int]
     triples: "np.ndarray"
     sizes: "np.ndarray"
-    triple_of: "np.ndarray"
-    vertices: tuple["np.ndarray", "np.ndarray", "np.ndarray"]
+    counts: "np.ndarray"
+    keys: "np.ndarray"
+    span: int
     width: int
 
 
 def _columns(rh: ReducedHypergraph) -> _Columns:
-    """The columns of rh decoded into numpy arrays, once per call of the pipeline."""
+    """The columns of rh as numpy arrays, once per call of the pipeline."""
     import numpy as np
 
     m = rh.m
@@ -183,14 +186,12 @@ def _columns(rh: ReducedHypergraph) -> _Columns:
     # nonzero lists the triples i < j < k in C order, which is combinations order
     i, j, k = np.nonzero((at[:, None, None] < at[:, None]) & (at[:, None] < at))
     sizes = np.stack([size_of[i, j], size_of[i, k], size_of[j, k]], axis=1)
-    triple_of = np.repeat(np.arange(len(i)), np.diff(np.frombuffer(rh.offsets, np.int64)))
-    codes = np.frombuffer(rh.codes, np.int64)
-    bc, c = (sizes[:, 1] * sizes[:, 2])[triple_of], sizes[:, 2][triple_of]
-    p = codes // bc
-    qr = codes - p * bc
-    q = qr // c
-    return _Columns(m, rh.class_sizes, np.stack([i, j, k], axis=1), sizes, triple_of,
-                    (p, q, qr - q * c), int(size_of.max()))
+    counts = np.diff(np.frombuffer(rh.offsets, np.int64))
+    # keys stay below C(64, 3) 64^3, about 1.1e10, at the input limits
+    span = int(sizes.prod(axis=1).max(initial=1))
+    keys = np.frombuffer(rh.codes, np.int64) + np.repeat(np.arange(len(i)) * span, counts)
+    return _Columns(m, rh.class_sizes, np.stack([i, j, k], axis=1), sizes, counts, keys, span,
+                    int(size_of.max()))
 
 
 def _mu_bound(mu: float) -> Fraction:
@@ -204,7 +205,7 @@ def _mu_density(cols: _Columns, mu: float) -> tuple[bool, Optional[Triple]]:
     import numpy as np
 
     bound = _mu_bound(mu)
-    counts = np.bincount(cols.triple_of, minlength=len(cols.triples))
+    counts = cols.counts
     products = cols.sizes.prod(axis=1)
     # per distinct class product, only its least count can miss the bound;
     # those are compared exactly, as Python ints
@@ -386,6 +387,19 @@ _STAGES = {"red": (0, 2), "blue": (1, 4), "green": (2, 4)}
 _SLOT_PAIRS = ((0, 1), (0, 2), (1, 2))  # slot -> its index pair, as columns of a triple
 
 
+def _stage_rule(stage: str, mu: float) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """The stage's candidate threshold and floor, exact for the decimal mu
+    names and cached per argument.  The threshold of run, the product of
+    the class sizes after the stage's slot, is the count of edges through
+    the picks that makes a vertex a candidate: ceil(mu/2 run) for red,
+    ceil(mu/4 run) for blue, 1 for green.  The floor of a class size s is
+    ceil(mu/d s).  Python ints: a 17-digit mu times run overflows int64."""
+    d = _STAGES[stage][1]
+    bound = _mu_bound(mu)
+    ceiling = cache(lambda x: -(-bound.numerator * x // (bound.denominator * d)))
+    return (lambda run: 1) if stage == "green" else ceiling, ceiling
+
+
 def _stage_table(cols: _Columns, stage: str, index: Sequence[int], mu: float,
                  picks: Sequence[dict[Pair, int]]) -> tuple["np.ndarray", "np.ndarray"]:
     """The stage's candidates for every triple of the increasing index tuple.
@@ -393,56 +407,43 @@ def _stage_table(cols: _Columns, stage: str, index: Sequence[int], mu: float,
     Returns the triples' rows of cols, in combinations order, and a boolean
     table with one row per triple and one column per vertex v of the
     stage's class (padded to cols.width, padding never a candidate).  picks
-    holds the vertices chosen by the earlier stages, per index pair; a
-    stage counts only the edges through them.  red: the p with at least
-    (mu/2 |P^{ik}|) |P^{jk}| edges; blue: the q with at least mu/4 |P^{jk}|
-    edges through the red vertex; green: the r of an edge through the red
-    and blue vertices."""
+    holds the vertices chosen by the earlier stages, per index pair; v is a
+    candidate when the edges through them and v meet _stage_rule's
+    threshold.  Those edges are one run of the triple's keys, as in
+    _stage_candidates_py, and searchsorted finds the run ends of every row
+    and v at once."""
     import numpy as np
 
     slot = _STAGES[stage][0]
     member = np.zeros(cols.m, bool)
     member[list(index)] = True
     rows = np.flatnonzero(member[cols.triples].all(axis=1))
-    row_of = np.full(len(cols.triples), -1)
-    row_of[rows] = np.arange(len(rows))
-    edges = np.flatnonzero(row_of[cols.triple_of] >= 0)
+    triples, sizes = cols.triples[rows], cols.sizes[rows]
+    lead, picked = np.zeros(len(rows), np.int64), np.ones(len(rows), bool)
     for s, chosen in enumerate(picks):
         pick = np.full((cols.m, cols.m), -1)
         for (x, y), v in chosen.items():
             pick[x, y] = v
         a, b = _SLOT_PAIRS[s]
-        want = pick[cols.triples[:, a], cols.triples[:, b]]
-        edges = edges[cols.vertices[s][edges] == want[cols.triple_of[edges]]]
-    width = cols.width
-    counts = np.bincount(row_of[cols.triple_of[edges]] * width + cols.vertices[slot][edges],
-                         minlength=len(rows) * width).reshape(len(rows), width)
-    sizes = cols.sizes[rows]
-    if stage == "red":
-        threshold = mu / 2 * sizes[:, 1] * sizes[:, 2]
-    elif stage == "blue":
-        threshold = mu / 4 * sizes[:, 2]
-    else:
-        threshold = np.ones(len(rows))
-    return rows, (counts >= threshold[:, None]) & (np.arange(width) < sizes[:, slot, None])
+        want = pick[triples[:, a], triples[:, b]]
+        lead, picked = lead * sizes[:, s] + want, picked & (want >= 0)
+    run = sizes[:, slot + 1:].prod(axis=1)
+    starts = rows * cols.span + lead * sizes[:, slot] * run
+    # a row that misses a pick has every run end at its start, so it counts
+    # nothing, not the run of another vertex or triple
+    ends = np.searchsorted(cols.keys, starts[:, None] + np.arange(cols.width + 1) * (run * picked)[:, None])
+    counts = np.diff(ends, axis=1)
+    distinct, inverse = np.unique(run, return_inverse=True)
+    threshold = np.array(list(map(_stage_rule(stage, mu)[0], distinct.tolist())), np.int64)[inverse]
+    return rows, (counts >= threshold[:, None]) & (np.arange(cols.width) < sizes[:, slot, None])
 
 
 def _stage_instance(cols: _Columns, stage: str, index: Sequence[int], mu: float,
                     picks: Sequence[dict[Pair, int]]) -> SelectionInstance:
-    """A stage's instance over the positions of its increasing index tuple:
-    the class of every index pair, and the candidates of every index triple,
-    each checked once against mu/2 (red) or mu/4 (blue, green) times the
-    class of its anchor pair."""
+    """_instance on the candidate sets of _stage_table."""
     import numpy as np
 
-    slot, d = _STAGES[stage]
     rows, table = _stage_table(cols, stage, index, mu, picks)
-    held = table.sum(axis=1)
-    floor = mu / d * cols.sizes[rows, slot]
-    breach = np.flatnonzero(held < floor - 1e-9)
-    if len(breach):
-        t = breach[0]
-        raise RuntimeError(f"{stage} candidate set has {int(held[t])} elements, below {float(floor[t])}")
     # each row's bits as one bytes key (numpy drops its trailing zero bytes);
     # one frozenset per distinct key, shared by every triple that has it
     packed = np.packbits(table, axis=1, bitorder="little")
@@ -451,16 +452,27 @@ def _stage_instance(cols: _Columns, stage: str, index: Sequence[int], mu: float,
     for key in set(keys):
         bits = int.from_bytes(key, "little")
         sets[key] = frozenset(v for v in range(cols.width) if bits >> v & 1)
-    return _instance(cols.class_sizes, index, map(sets.__getitem__, keys))
+    return _instance(cols.class_sizes, stage, index, mu, map(sets.__getitem__, keys))
 
 
-def _instance(class_sizes: dict[Pair, int], index: Sequence[int], sets: Iterable[frozenset]) -> SelectionInstance:
-    """The instance over the positions of the increasing index tuple: the
-    class of every index pair, and the given candidate sets, one per index
-    triple in combinations order."""
+def _instance(class_sizes: dict[Pair, int], stage: str, index: Sequence[int], mu: float,
+              sets: Iterable[frozenset]) -> SelectionInstance:
+    """A stage's instance over the positions of the increasing index tuple:
+    the class of every index pair, and the given candidate sets, one per
+    index triple in combinations order, each checked once, in that order,
+    against _stage_rule's floor: mu/2 (red) or mu/4 (blue, green) times the
+    class of its anchor pair."""
+    slot, d = _STAGES[stage]
+    x, y = _SLOT_PAIRS[slot]
+    floor = _stage_rule(stage, mu)[1]
     positions = range(len(index))
     classes = {(a, b): tuple(range(class_sizes[(index[a], index[b])])) for a, b in combinations(positions, 2)}
-    return SelectionInstance(len(index), classes, dict(zip(combinations(positions, 3), sets)))
+    candidates = dict(zip(combinations(positions, 3), sets))
+    for triple, held in candidates.items():
+        size = len(classes[(triple[x], triple[y])])
+        if len(held) < floor(size):
+            raise RuntimeError(f"{stage} candidate set has {len(held)} elements, below {mu / d * size}")
+    return SelectionInstance(len(index), classes, candidates)
 
 
 def _stage_candidates_py(rh: ReducedHypergraph, stage: str, index: Sequence[int], mu: float,
@@ -472,6 +484,7 @@ def _stage_candidates_py(rh: ReducedHypergraph, stage: str, index: Sequence[int]
     one run: v's count is its length, read off the run ends that bisection
     finds for every v."""
     slot = _STAGES[stage][0]
+    threshold = _stage_rule(stage, mu)[0]
     out = []
     for triple in combinations(index, 3):
         i, j, k = triple
@@ -483,29 +496,15 @@ def _stage_candidates_py(rh: ReducedHypergraph, stage: str, index: Sequence[int]
         run, t = prod(sizes[slot + 1:]), _row(rh.m, i, j, k)
         ends = [bisect_left(rh.codes, (lead * sizes[slot] + v) * run, rh.offsets[t], rh.offsets[t + 1])
                 for v in range(sizes[slot] + 1)]
-        if stage == "red":
-            threshold = mu / 2 * sizes[1] * sizes[2]
-        elif stage == "blue":
-            threshold = mu / 4 * sizes[2]
-        else:
-            threshold = 1
-        out.append(frozenset(v for v in range(sizes[slot]) if ends[v + 1] - ends[v] >= threshold))
+        need = threshold(run)
+        out.append(frozenset(v for v in range(sizes[slot]) if ends[v + 1] - ends[v] >= need))
     return out
 
 
 def _stage_instance_py(rh: ReducedHypergraph, stage: str, index: Sequence[int], mu: float,
                        picks: Sequence[dict[Pair, int]]) -> SelectionInstance:
-    """_stage_instance triple by triple in Python: each candidate set is
-    checked against mu/2 (red) or mu/4 (blue, green) times the class of its
-    anchor pair, in combinations order."""
-    slot, d = _STAGES[stage]
-    x, y = _SLOT_PAIRS[slot]
-    sets = _stage_candidates_py(rh, stage, index, mu, picks)
-    for triple, held in zip(combinations(index, 3), sets):
-        floor = mu / d * rh.class_sizes[(triple[x], triple[y])]
-        if len(held) < floor - 1e-9:
-            raise RuntimeError(f"{stage} candidate set has {len(held)} elements, below {floor}")
-    return _instance(rh.class_sizes, index, sets)
+    """_instance on the candidate sets of _stage_candidates_py."""
+    return _instance(rh.class_sizes, stage, index, mu, _stage_candidates_py(rh, stage, index, mu, picks))
 
 
 def _on_indices(index: Sequence[int], result: Selection) -> Selection:

@@ -11,7 +11,9 @@ Python loop per index triple for the mu-density test (``mu_dense``) and
 for every stage's candidates (``red_candidates``, ``blue_candidates``,
 ``green_candidates``), each stage built and its floors checked triple by
 triple (``stage_instance``), and the pipeline over them
-(``select_rainbow_core``).  The tests compare the tables against them.
+(``select_rainbow_core``).  Every threshold and floor is compared as a
+Fraction against the decimal that mu names.  The tests compare the tables
+against them.
 """
 
 from __future__ import annotations
@@ -122,11 +124,11 @@ def mu_dense(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple]]:
     return dense, min(triples, key=lambda t: sizes[t][0] / sizes[t][1], default=None)
 
 
-def red_candidates(rh: ReducedHypergraph, mu_prime: float, triple: Triple) -> frozenset[int]:
-    """Vertices of P^{ij} whose degree in the constituent meets the
-    mu' * |P^{ik}| * |P^{jk}| threshold."""
+def red_candidates(rh: ReducedHypergraph, mu: float, triple: Triple) -> frozenset[int]:
+    """Vertices of P^{ij} whose degree in the constituent is at least
+    mu/2 |P^{ik}| |P^{jk}|, for the decimal that mu names."""
     i, j, k = sorted(triple)
-    threshold = mu_prime * rh.class_sizes[(i, k)] * rh.class_sizes[(j, k)]
+    threshold = Fraction(str(mu)) / 2 * rh.class_sizes[(i, k)] * rh.class_sizes[(j, k)]
     counts = [0] * rh.class_sizes[(i, j)]
     for e in rh.edges_of((i, j, k)):
         counts[e[0]] += 1
@@ -134,9 +136,10 @@ def red_candidates(rh: ReducedHypergraph, mu_prime: float, triple: Triple) -> fr
 
 
 def blue_candidates(rh: ReducedHypergraph, mu: float, reds: dict[Pair, int], triple: Triple) -> frozenset[int]:
-    """Vertices q of P^{ik} on at least mu/4 |P^{jk}| edges through the red vertex of (i, j)."""
+    """Vertices q of P^{ik} on at least mu/4 |P^{jk}| edges through the red
+    vertex of (i, j), for the decimal that mu names."""
     i, j, k = triple
-    p_red, threshold = reds[(i, j)], mu / 4 * rh.class_sizes[(j, k)]
+    p_red, threshold = reds[(i, j)], Fraction(str(mu)) / 4 * rh.class_sizes[(j, k)]
     pair_counts = [0] * rh.class_sizes[(i, k)]
     for e in rh.edges_of((i, j, k)):
         if e[0] == p_red:
@@ -162,9 +165,10 @@ STAGE_OF = {"first": "red", "outer": "blue", "last": "green"}
 
 
 def stage_instance(rh: ReducedHypergraph, index: Sequence[int], candidates: Callable[..., frozenset],
-                   fraction: float, anchor: str) -> SelectionInstance:
+                   mu: float, d: int, anchor: str) -> SelectionInstance:
     """A stage's instance over the positions of its increasing index tuple,
-    each candidate set checked against fraction times its anchor class."""
+    each candidate set checked against mu/d times its anchor class, for the
+    decimal that mu names; a breach names that floor as a float."""
     pair_of, stage = PAIR_OF[anchor], STAGE_OF[anchor]
     positions = range(len(index))
     classes = {(a, b): tuple(range(rh.class_sizes[(index[a], index[b])]))
@@ -172,9 +176,9 @@ def stage_instance(rh: ReducedHypergraph, index: Sequence[int], candidates: Call
     cands: dict[Triple, frozenset] = {}
     for a, b, c in combinations(positions, 3):
         cset = candidates(index[a], index[b], index[c])
-        floor = fraction * len(classes[pair_of(a, b, c)])
-        if len(cset) < floor - 1e-9:
-            raise RuntimeError(f"{stage} candidate set has {len(cset)} elements, below {floor}")
+        size = len(classes[pair_of(a, b, c)])
+        if len(cset) < Fraction(str(mu)) / d * size:
+            raise RuntimeError(f"{stage} candidate set has {len(cset)} elements, below {mu / d * size}")
         cands[(a, b, c)] = cset
     return SelectionInstance(len(index), classes, cands)
 
@@ -203,20 +207,20 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int,
         raise MuDensityError(f"input is not {mu}-dense (worst constituent {worst})")
     index = tuple(range(rh.m))
     res = once("red", lambda: select_red(
-        stage_instance(rh, index, lambda *t: red_candidates(rh, mu / 2, t), mu / 2, "first"), None))
+        stage_instance(rh, index, lambda *t: red_candidates(rh, mu, t), mu, 2, "first"), None))
     if res is None:
         raise RuntimeError("red selection without a target size failed")
     X, reds = on_indices(index, res)
     if len(X) < f:
         return None
     res = once("blue", lambda: select_blue(
-        stage_instance(rh, X, lambda *t: blue_candidates(rh, mu, reds, t), mu / 4, "outer"), None))
+        stage_instance(rh, X, lambda *t: blue_candidates(rh, mu, reds, t), mu, 4, "outer"), None))
     if res is None:
         raise RuntimeError("blue selection without a target size failed")
     W, blues = on_indices(X, res)
     if len(W) < f:
         return None
-    res = select_green(stage_instance(rh, W, lambda *t: green_candidates(rh, reds, blues, t), mu / 4, "last"), f)
+    res = select_green(stage_instance(rh, W, lambda *t: green_candidates(rh, reds, blues, t), mu, 4, "last"), f)
     if res is None:
         return None
     lam, greens = on_indices(W, res)

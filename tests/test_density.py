@@ -271,6 +271,7 @@ def test_profile_size_floor_uses_ceiling():
     assert size_floor(0.5, 9, 3) == 5
     assert size_floor(1.0, 9, 3) == 9
     assert size_floor(0.01, 9, 3) == 3  # never below the uniformity
+    assert size_floor(0.15000000001, 20, 3) == 4  # 3.0000000002, not a float artifact of 3
 
 
 def test_profile_rejects_bad_grid():

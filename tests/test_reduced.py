@@ -88,6 +88,18 @@ def test_density_exactly_mu_is_dense():
     assert sel is not None and verify_core(rh, sel)
 
 
+@pytest.mark.parametrize("limit", [3, 2])  # the Python kernel, then the numpy tables
+def test_a_red_count_of_exactly_the_threshold_is_a_candidate(monkeypatch, limit):
+    # vertex 0 of P^{01} is on 7 edges, exactly mu/2 |P^{02}| |P^{12}| at
+    # mu = 0.01, while 0.01 / 2 * 28 * 50 is 7.000000000000001 in floats; of
+    # the two red candidates the greedy takes the least
+    rh = one_constituent((2, 28, 50), [(0, q, 0) for q in range(7)] + [(1, q, 0) for q in range(21)])
+    monkeypatch.setattr(reduced, "PYTHON_INDEX_LIMIT", limit)
+    assert is_mu_dense(rh, 0.01) == (True, (0, 1, 2))
+    picks = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
+    assert select_rainbow_core(rh, 0.01, 3) == CoreSelection((0, 1, 2), picks, picks, picks)
+
+
 # sizes from products of 2s and 5s, so every count / product is a short decimal
 tie_sizes = st.tuples(*[st.sampled_from((1, 2, 4, 5, 8, 10))] * 3)
 

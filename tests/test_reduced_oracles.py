@@ -25,8 +25,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperdense import reduced
@@ -105,11 +106,11 @@ def table_sets(cols, stage, index, mu, chosen):
 
 
 def reference_stages(rh, index, mu, reds, blues):
-    """Per stage: its picks, the references' candidate function, floor fraction and anchor."""
+    """Per stage: its picks, the references' candidate function, floor divisor and anchor."""
     return {
-        "red": ((), lambda *t: oracle.red_candidates(rh, mu / 2, t), mu / 2, "first"),
-        "blue": ((reds,), lambda *t: oracle.blue_candidates(rh, mu, reds, t), mu / 4, "outer"),
-        "green": ((reds, blues), lambda *t: oracle.green_candidates(rh, reds, blues, t), mu / 4, "last"),
+        "red": ((), lambda *t: oracle.red_candidates(rh, mu, t), 2, "first"),
+        "blue": ((reds,), lambda *t: oracle.blue_candidates(rh, mu, reds, t), 4, "outer"),
+        "green": ((reds, blues), lambda *t: oracle.green_candidates(rh, reds, blues, t), 4, "last"),
     }
 
 
@@ -121,26 +122,44 @@ def test_stage_tables_and_floors_match_the_references(data):
     assert reduced.is_mu_dense(rh, mu) == oracle.mu_dense(rh, mu)
     index, reds, blues = data.draw(picks(rh))
     cols = reduced._columns(rh)
-    for stage, (chosen, candidates, fraction, anchor) in reference_stages(rh, index, mu, reds, blues).items():
+    for stage, (chosen, candidates, d, anchor) in reference_stages(rh, index, mu, reds, blues).items():
         want = [candidates(*t) for t in combinations(index, 3)]
         assert table_sets(cols, stage, index, mu, chosen) == want, stage
         assert reduced._stage_candidates_py(rh, stage, index, mu, chosen) == want, stage
-        expected = outcome(oracle.stage_instance, rh, index, candidates, fraction, anchor)
+        expected = outcome(oracle.stage_instance, rh, index, candidates, mu, d, anchor)
         assert outcome(reduced._stage_instance, cols, stage, index, mu, chosen) == expected, stage
         assert outcome(reduced._stage_instance_py, rh, stage, index, mu, chosen) == expected, stage
 
 
-# each floor lies a hair above 1 (mu/d times the class) while one vertex is a candidate
+# each floor lies a hair above 1 (mu/d times the class) while one vertex is a
+# candidate.  Its exact ceiling is 2, which that one candidate does not meet,
+# so every path reports the breach
 @pytest.mark.parametrize("stage, sizes", [("red", (4, 1, 1)), ("blue", (1, 8, 1)), ("green", (1, 1, 8))])
-def test_a_floor_a_hair_above_an_integer_is_met_by_it(stage, sizes):
+def test_a_floor_a_hair_above_an_integer_is_not_met_by_it(stage, sizes):
     a, b, c = sizes
     mu = 0.5 * (1 + 1e-12)
     rh = ReducedHypergraph.from_parts(3, {(0, 1): a, (0, 2): b, (1, 2): c}, {(0, 1, 2): {(0, 0, 0)}})
     reds = blues = {(0, 1): 0, (0, 2): 0, (1, 2): 0}
-    chosen, candidates, fraction, anchor = reference_stages(rh, (0, 1, 2), mu, reds, blues)[stage]
-    got = reduced._stage_instance(reduced._columns(rh), stage, (0, 1, 2), mu, chosen)
-    assert got == oracle.stage_instance(rh, (0, 1, 2), candidates, fraction, anchor)
-    assert reduced._stage_instance_py(rh, stage, (0, 1, 2), mu, chosen) == got
+    chosen, candidates, d, anchor = reference_stages(rh, (0, 1, 2), mu, reds, blues)[stage]
+    expected = (RuntimeError, f"{stage} candidate set has 1 elements, below {mu / d * max(sizes)}")
+    assert outcome(oracle.stage_instance, rh, (0, 1, 2), candidates, mu, d, anchor) == expected
+    assert outcome(reduced._stage_instance, reduced._columns(rh), stage, (0, 1, 2), mu, chosen) == expected
+    assert outcome(reduced._stage_instance_py, rh, stage, (0, 1, 2), mu, chosen) == expected
+
+
+@ORACLE_SETTINGS
+@given(instances())
+@example(ReducedHypergraph.from_parts(2, {(0, 1): 3}, {}))
+@example(ReducedHypergraph.from_parts(4, dict(zip(combinations(range(4), 2), (1, 6, 2, 5, 3, 4))),
+                                      {(0, 1, 2): {(0, 5, 1)}, (1, 2, 3): {(0, 0, 0), (4, 2, 3)}}))
+def test_keys_increase_and_give_back_the_codes(rh):
+    # the stage tables bisect the keys, so each row's run ends must stay in its own span
+    cols = reduced._columns(rh)
+    row = np.repeat(np.arange(len(cols.triples)), cols.counts)
+    assert cols.counts.tolist() == [b - a for a, b in zip(rh.offsets, rh.offsets[1:])]
+    assert (np.diff(cols.keys) > 0).all()
+    assert (cols.keys // cols.span == row).all()
+    assert (cols.keys - cols.span * row).tolist() == list(rh.codes)
 
 
 def test_padding_is_never_a_candidate():
@@ -150,6 +169,17 @@ def test_padding_is_never_a_candidate():
     cols = reduced._columns(rh)
     assert table_sets(cols, "red", (0, 1, 2), 0.0, ()) == [frozenset({0})]
     assert table_sets(cols, "blue", (0, 1, 2), 0.0, ({(0, 1): 0},)) == [frozenset({0, 1})]
+
+
+def test_a_missing_pick_counts_no_edge():
+    # complete constituents: a row whose pick is missing must count nothing,
+    # not the run of another vertex or of the triple before it
+    rh = oracle.complete_reduced(5, 2)
+    cols = reduced._columns(rh)
+    reds = {pair: 1 for pair in combinations(range(5), 2) if pair != (1, 2)}
+    got = table_sets(cols, "blue", range(5), 1.0, (reds,))
+    assert got == [frozenset() if t[:2] == (1, 2) else frozenset({0, 1}) for t in combinations(range(5), 3)]
+    assert table_sets(cols, "green", range(5), 1.0, (reds, {})) == [frozenset()] * 10
 
 
 @ORACLE_SETTINGS
