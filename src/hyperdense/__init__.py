@@ -5,8 +5,8 @@ submodule, and the first access to a name imports the module defining it.  A
 command therefore loads only the modules it runs, and numpy only when a kernel
 needs it: the heuristic and three-set density audits, the exact vertex and
 profile audits past 12 vertices, the inequality scan, the sampled subset
-audit, the rainbow selection past 10 indices and hom counts into large hosts
-(``hyperdense.cli`` lists them).
+audit, the rainbow selection on a mu-dense input past 10 indices and hom
+counts into large hosts (``hyperdense.cli`` lists them).
 """
 
 from importlib import import_module

@@ -11,9 +11,9 @@ Each command imports the modules it runs inside its body, so a cold start
 loads only those.  It loads numpy only where one of these needs it: a
 heuristic or three-set density audit, an exact vertex or profile audit on
 more than density.PYTHON_TABLE_LIMIT (12) vertices, the cube scan, a
-sampled subset audit, the rainbow selection on more than
-reduced.PYTHON_INDEX_LIMIT (10) indices, or a hom count into a host of at
-least 27**3 tensor cells.
+sampled subset audit, the rainbow selection on a mu-dense input of more
+than reduced.PYTHON_INDEX_LIMIT (10) indices, or a hom count into a host
+of at least 27**3 tensor cells.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

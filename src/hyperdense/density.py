@@ -701,7 +701,11 @@ def density_profile(
     seed: int = 0,
 ) -> ProfileReport:
     """Per eta, the minimum relative density over subsets of size at least
-    ceil(eta * n), with the minimizing subset as certificate."""
+    ceil(eta * n), with the minimizing subset as certificate.  Every
+    certificate is recomputed on the reference path, subset_relative_density,
+    and must give the entry's density exactly (both are floats of int / int)
+    from at least the size floor; an explicit check, so that it also runs
+    under -O."""
     if not eta_grid:
         raise ValueError("empty eta grid")
     for eta in eta_grid:
@@ -711,11 +715,20 @@ def density_profile(
     if mode == "exact":
         if h.n > VERTEX_EXACT_LIMIT:
             raise ValueError(f"exact mode limited to n <= {VERTEX_EXACT_LIMIT}")
-        return _profile_exact(h, eta_grid)
-    if mode == "heuristic":
+        report = _profile_exact(h, eta_grid)
+    elif mode == "heuristic":
         _check_heuristic_host(h)
-        return _profile_heuristic(h, eta_grid, budget, restarts, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        report = _profile_heuristic(h, eta_grid, budget, restarts, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    for e in report.entries:
+        if e.subset is None:
+            continue
+        recomputed = subset_relative_density(h, e.subset)
+        if recomputed != e.density or len(e.subset) < e.size_floor:
+            raise RuntimeError(f"profile certificate for eta {e.eta} re-verifies at {recomputed} on "
+                               f"{len(e.subset)} vertices, not {e.density} on at least {e.size_floor}")
+    return report
 
 
 def _profile_exact(h: Hypergraph, eta_grid: Sequence[float]) -> ProfileReport:

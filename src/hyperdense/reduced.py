@@ -11,11 +11,13 @@ constituent edge.
 The constituents are kept as two flat integer columns: the edges of the
 t-th triple of combinations(range(m), 3) are codes[offsets[t]:offsets[t+1]],
 each class edge (p, q, r) of (i, j, k) coded as (p |P^{ik}| + q) |P^{jk}| + r
-and sorted.  Building, parsing and verifying stay in pure Python.  A stage
-counts a triple's candidates by bisecting its sorted codes, triple by
-triple in Python up to PYTHON_INDEX_LIMIT indices, and past the limit for
-every triple at once through numpy, on one increasing key column.  Both
-give the same selections, verdicts and messages.
+and sorted.  Building, parsing and verifying stay in pure Python.  The build
+also keeps the sparsest constituent, compared exactly, so the mu-density
+test is one exact comparison and needs no numpy.  A stage counts a triple's
+candidates by bisecting its sorted codes, triple by triple in Python up to
+PYTHON_INDEX_LIMIT indices, and past the limit for every triple at once
+through numpy, on one increasing key column.  Both give the same candidate
+sets, and every stage instance is built from them on one path.
 
 The selections follow the staged degree-threshold mechanism greedily
 (keep the choice that leaves the most future indices alive, ties broken
@@ -59,13 +61,13 @@ Selection = tuple[tuple[int, ...], dict[Pair, object]]  # chosen indices, elemen
 # 1.2 s, and the whole process peaks at about 90 MB (2-vCPU Xeon).
 INDEX_LIMIT = 64
 CLASS_SIZE_LIMIT = 64
-# Inputs of at most this many indices take the density test and the stage
-# instances triple by triple in Python, so that select loads no numpy.  A
-# cold import of numpy takes 130-150 ms.  A selection in Python takes about
-# 0.4-0.5 ms at m = 6, 0.8-1 ms at m = 8, 1.4-1.9 ms at m = 10, 2.4-3 ms at
-# m = 12 and 17-39 ms at m = 24, with numpy 0.6, 0.7-0.9, 0.9-1.6, 1.4-1.6
-# and 8 ms once numpy is loaded (2-vCPU Xeon, class sizes 2 and 3).  At 10 a
-# process that has loaded numpy anyway loses at most about 1 ms a call; the
+# Inputs of at most this many indices take the stage candidate sets triple
+# by triple in Python, so that select loads no numpy.  A cold import of
+# numpy takes 130-150 ms.  A selection in Python takes about 0.4-0.5 ms at
+# m = 6, 0.8-1 ms at m = 8, 1.4-1.9 ms at m = 10, 2.4-3 ms at m = 12 and
+# 17-39 ms at m = 24, with numpy 0.6, 0.7-0.9, 0.9-1.6, 1.4-1.6 and 8 ms
+# once numpy is loaded (2-vCPU Xeon, class sizes 2 and 3).  At 10 a process
+# that has loaded numpy anyway loses at most about 1 ms a call; the
 # benchmark's search instances have m = 24-32.
 PYTHON_INDEX_LIMIT = 10
 
@@ -78,12 +80,15 @@ class MuDensityError(ValueError):
 class ReducedHypergraph:
     """Class sizes per index pair and the constituents as flat columns:
     the codes of the t-th triple of combinations(range(m), 3) are
-    codes[offsets[t]:offsets[t + 1]], one per class edge, sorted."""
+    codes[offsets[t]:offsets[t + 1]], one per class edge, sorted.
+    sparsest is the first triple, in that order, whose constituent has the
+    least density (edges over class product), None when m < 3."""
 
     m: int
     class_sizes: dict[Pair, int]
     offsets: array = field(repr=False)
     codes: array = field(repr=False)
+    sparsest: Optional[Triple] = field(repr=False)
 
     def __init__(self, m: int, class_sizes: dict[Pair, int],
                  constituents: dict[Triple, Collection[Sequence[int]]]):
@@ -100,6 +105,7 @@ class ReducedHypergraph:
             if stray:
                 raise ValueError(f"{what} {min(stray)} does not name {count} increasing indices in [0, {m})")
         offsets, codes = array("q", [0]), array("q")
+        sparsest, low, high = None, 1, 0  # the least density so far is low / high; 1 / 0 is above any
         for triple in combinations(range(m), 3):
             i, j, k = triple
             a, b, c = class_sizes[(i, j)], class_sizes[(i, k)], class_sizes[(j, k)]
@@ -115,10 +121,15 @@ class ReducedHypergraph:
                                  f"{'outside classes' if len(bad) == 3 else 'of the wrong arity'} of {triple}")
             codes.extend(sorted(set(kept)))
             offsets.append(len(codes))
+            # densities compared exactly, by cross-multiplying ints
+            count = offsets[-1] - offsets[-2]
+            if count * high < low * a * b * c:
+                sparsest, low, high = triple, count, a * b * c
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "class_sizes", class_sizes)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "sparsest", sparsest)
 
     @classmethod
     def from_parts(
@@ -157,19 +168,17 @@ class CoreSelection:
 class _Columns:
     """A reduced hypergraph viewed through numpy, for the whole-stage tables.
 
-    m and class_sizes are the hypergraph's.  Row t of triples, sizes and
-    counts is the t-th triple (i, j, k) of combinations(range(m), 3), its
-    class sizes |P^{ij}|, |P^{ik}|, |P^{jk}| and its number of class edges.
-    keys holds the codes in their order, those of row t raised by span t,
-    where span is the largest class product: so keys increase, and row t's
-    codes are its keys in [span t, span (t + 1)).  width is the largest
-    class size, the padded width of every stage table."""
+    m is the hypergraph's.  Row t of triples and sizes is the t-th triple
+    (i, j, k) of combinations(range(m), 3) and its class sizes |P^{ij}|,
+    |P^{ik}|, |P^{jk}|.  keys holds the codes in their order, those of row t
+    raised by span t, where span is the largest class product: so keys
+    increase, and row t's codes are its keys in [span t, span (t + 1)).
+    width is the largest class size, the padded width of every stage
+    table."""
 
     m: int
-    class_sizes: dict[Pair, int]
     triples: "np.ndarray"
     sizes: "np.ndarray"
-    counts: "np.ndarray"
     keys: "np.ndarray"
     span: int
     width: int
@@ -190,8 +199,7 @@ def _columns(rh: ReducedHypergraph) -> _Columns:
     # keys stay below C(64, 3) 64^3, about 1.1e10, at the input limits
     span = int(sizes.prod(axis=1).max(initial=1))
     keys = np.frombuffer(rh.codes, np.int64) + np.repeat(np.arange(len(i)) * span, counts)
-    return _Columns(m, rh.class_sizes, np.stack([i, j, k], axis=1), sizes, counts, keys, span,
-                    int(size_of.max()))
+    return _Columns(m, np.stack([i, j, k], axis=1), sizes, keys, span, int(size_of.max()))
 
 
 def _mu_bound(mu: float) -> Fraction:
@@ -201,49 +209,19 @@ def _mu_bound(mu: float) -> Fraction:
     return Fraction(str(mu))
 
 
-def _mu_density(cols: _Columns, mu: float) -> tuple[bool, Optional[Triple]]:
-    import numpy as np
-
-    bound = _mu_bound(mu)
-    counts = cols.counts
-    products = cols.sizes.prod(axis=1)
-    # per distinct class product, only its least count can miss the bound;
-    # those are compared exactly, as Python ints
-    order = np.lexsort((counts, products))
-    least = order[np.unique(products[order], return_index=True)[1]]
-    dense = all(count * bound.denominator >= bound.numerator * product
-                for count, product in zip(counts[least].tolist(), products[least].tolist()))
-    worst = tuple(cols.triples[np.argmin(counts / products)].tolist()) if len(counts) else None
-    return dense, worst
-
-
-def _mu_density_py(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple]]:
-    """_mu_density one constituent at a time, its edge count read off the offsets."""
-    bound = _mu_bound(mu)
-    triples = list(combinations(range(rh.m), 3))
-    counts = [end - start for start, end in zip(rh.offsets, rh.offsets[1:])]
-    products = [rh.class_sizes[(i, j)] * rh.class_sizes[(i, k)] * rh.class_sizes[(j, k)] for i, j, k in triples]
-    dense = all(count * bound.denominator >= bound.numerator * product
-                for count, product in zip(counts, products))
-    worst = min(range(len(triples)), key=lambda t: counts[t] / products[t], default=None)
-    return dense, None if worst is None else triples[worst]
-
-
-def _kernels(rh: ReducedHypergraph) -> tuple[Callable, Callable]:
-    """The mu-density test (of mu) and the stage instance function (of
-    stage, index, mu, picks) for rh: triple by triple in Python up to
-    PYTHON_INDEX_LIMIT indices, whole-stage numpy tables past it."""
-    if rh.m <= PYTHON_INDEX_LIMIT:
-        return partial(_mu_density_py, rh), partial(_stage_instance_py, rh)
-    cols = _columns(rh)
-    return partial(_mu_density, cols), partial(_stage_instance, cols)
-
-
 def is_mu_dense(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple]]:
     """Whether every constituent has density >= mu, compared exactly against
     the decimal that mu names; also the worst triple (None when m < 3 and
-    there are no constituents at all)."""
-    return _kernels(rh)[0](mu)
+    there are no constituents at all).  Only the sparsest constituent,
+    found when rh was built, can miss the bound."""
+    bound = _mu_bound(mu)
+    if rh.sparsest is None:
+        return True, None
+    i, j, k = rh.sparsest
+    t = _row(rh.m, i, j, k)
+    count = rh.offsets[t + 1] - rh.offsets[t]
+    product = rh.class_sizes[(i, j)] * rh.class_sizes[(i, k)] * rh.class_sizes[(j, k)]
+    return count * bound.denominator >= bound.numerator * product, rh.sparsest
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +416,10 @@ def _stage_table(cols: _Columns, stage: str, index: Sequence[int], mu: float,
     return rows, (counts >= threshold[:, None]) & (np.arange(cols.width) < sizes[:, slot, None])
 
 
-def _stage_instance(cols: _Columns, stage: str, index: Sequence[int], mu: float,
-                    picks: Sequence[dict[Pair, int]]) -> SelectionInstance:
-    """_instance on the candidate sets of _stage_table."""
+def _stage_candidates(cols: _Columns, stage: str, index: Sequence[int], mu: float,
+                      picks: Sequence[dict[Pair, int]]) -> list[frozenset]:
+    """The candidate sets of _stage_table, one per triple of the increasing
+    index tuple."""
     import numpy as np
 
     rows, table = _stage_table(cols, stage, index, mu, picks)
@@ -452,7 +431,7 @@ def _stage_instance(cols: _Columns, stage: str, index: Sequence[int], mu: float,
     for key in set(keys):
         bits = int.from_bytes(key, "little")
         sets[key] = frozenset(v for v in range(cols.width) if bits >> v & 1)
-    return _instance(cols.class_sizes, stage, index, mu, map(sets.__getitem__, keys))
+    return [sets[key] for key in keys]
 
 
 def _instance(class_sizes: dict[Pair, int], stage: str, index: Sequence[int], mu: float,
@@ -501,10 +480,13 @@ def _stage_candidates_py(rh: ReducedHypergraph, stage: str, index: Sequence[int]
     return out
 
 
-def _stage_instance_py(rh: ReducedHypergraph, stage: str, index: Sequence[int], mu: float,
-                       picks: Sequence[dict[Pair, int]]) -> SelectionInstance:
-    """_instance on the candidate sets of _stage_candidates_py."""
-    return _instance(rh.class_sizes, stage, index, mu, _stage_candidates_py(rh, stage, index, mu, picks))
+def _stage_kernel(rh: ReducedHypergraph) -> Callable[..., list[frozenset]]:
+    """The stage candidate function (of stage, index, mu, picks) for rh:
+    triple by triple in Python up to PYTHON_INDEX_LIMIT indices, whole-stage
+    numpy tables past it."""
+    if rh.m <= PYTHON_INDEX_LIMIT:
+        return partial(_stage_candidates_py, rh)
+    return partial(_stage_candidates, _columns(rh))
 
 
 def _on_indices(index: Sequence[int], result: Selection) -> Selection:
@@ -519,30 +501,28 @@ def select_rainbow_core(rh: ReducedHypergraph, mu: float, f: int) -> Optional[Co
     direct membership sets.  Success is verified; failure is honest."""
     if f < 1:
         raise ValueError("need f >= 1")
-    mu_density, stage_instance = _kernels(rh)
-    dense, worst = mu_density(mu)
+    dense, worst = is_mu_dense(rh, mu)
     if not dense:
         raise MuDensityError(f"input is not {mu}-dense (worst constituent {worst})")
+    candidates = _stage_kernel(rh)
 
-    index = tuple(range(rh.m))
-    res = select_red(stage_instance("red", index, mu, ()), None)
-    if res is None:
-        raise RuntimeError("red selection without a target size failed")
-    X, reds = _on_indices(index, res)
+    def run(stage: str, select: Callable, index: Sequence[int], picks: tuple, size: Optional[int]):
+        """The stage's selection keyed by indices; None only with a target size."""
+        res = select(_instance(rh.class_sizes, stage, index, mu, candidates(stage, index, mu, picks)), size)
+        if res is None and size is None:
+            raise RuntimeError(f"{stage} selection without a target size failed")
+        return None if res is None else _on_indices(index, res)
+
+    X, reds = run("red", select_red, tuple(range(rh.m)), (), None)
     if len(X) < f:
         return None
-
-    res = select_blue(stage_instance("blue", X, mu, (reds,)), None)
-    if res is None:
-        raise RuntimeError("blue selection without a target size failed")
-    W, blues = _on_indices(X, res)
+    W, blues = run("blue", select_blue, X, (reds,), None)
     if len(W) < f:
         return None
-
-    res = select_green(stage_instance("green", W, mu, (reds, blues)), f)
+    res = run("green", select_green, W, (reds, blues), f)
     if res is None:
         return None
-    lam, greens = _on_indices(W, res)
+    lam, greens = res
 
     pairs = list(combinations(range(f), 2))
     red, blue, green = ({(a, b): got[(lam[a], lam[b])] for a, b in pairs} for got in (reds, blues, greens))

@@ -683,6 +683,17 @@ def test_failed_self_check_exits_4(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_internal_key_error_exits_4(tmp_path, capsys, monkeypatch):
+    # only ValueError and OSError mean bad input; a KeyError inside a kernel
+    # is a fault of the program
+    def lookup_fails(pattern):
+        raise KeyError((0, 1))
+
+    monkeypatch.setattr(rainbow, "find_rainbow_ordering", lookup_fails)
+    path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
+    assert run(capsys, "decide-pi1", path) == (4, "", "error: internal fault: KeyError: (0, 1)\n")
+
+
 def test_failed_self_check_exits_4_under_optimize(tmp_path):
     path = write(tmp_path, "c5.hyg", C5_MINUS_TEXT)
     script = (
@@ -697,6 +708,26 @@ def test_failed_self_check_exits_4_under_optimize(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_profile_certificate_that_does_not_reverify_exits_4_under_optimize(tmp_path):
+    # the profile re-check is an explicit check too: a minimiser pick that
+    # returns the one edge's 3 vertices, density 1 where 0 is least
+    path = write(tmp_path, "one-edge.hyg", "3 6 1\n0 1 2\n")
+    script = (
+        "import sys\n"
+        "from hyperdense import cli, density\n"
+        "assert False, 'python -O did not strip asserts'\n"
+        "minima = density._size_minima\n"
+        "density._size_minima = lambda h: (*minima(h)[:2], lambda s: (1 << s) - 1)\n"
+        f"sys.exit(cli.main(['audit', 'profile', {path!r}, '--eta-grid', '0.5']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: internal fault: RuntimeError: profile certificate for eta 0.5 re-verifies "
+                           "at 1.0 on 3 vertices, not 0.0 on at least 3\n")
 
 
 def test_reduced_floor_breach_exits_4_under_optimize(tmp_path):

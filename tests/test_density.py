@@ -274,6 +274,25 @@ def test_profile_size_floor_uses_ceiling():
     assert size_floor(0.15000000001, 20, 3) == 4  # 3.0000000002, not a float artifact of 3
 
 
+# one edge {0, 1, 2} on 6 vertices: at eta = 0.5 (floor 3) the least density
+# is 0, on any 3 vertices but those; a pick of exactly those re-verifies at 1
+ONE_EDGE = Hypergraph(3, 6, ((0, 1, 2),))
+WRONG_PICK = "profile certificate for eta 0.5 re-verifies at 1.0 on 3 vertices, not 0.0 on at least 3"
+
+
+def test_profile_certificate_that_does_not_reverify_raises(monkeypatch):
+    minima = density._size_minima
+    monkeypatch.setattr(density, "_size_minima", lambda h: (*minima(h)[:2], lambda s: (1 << s) - 1))
+    with pytest.raises(RuntimeError, match=f"^{WRONG_PICK}$"):
+        density_profile(ONE_EDGE, [0.5])
+
+
+def test_heuristic_profile_certificate_that_does_not_reverify_raises(monkeypatch):
+    monkeypatch.setattr(density, "_descend", lambda *args: (0.0, (0, 1, 2), 1))
+    with pytest.raises(RuntimeError, match=f"^{WRONG_PICK}$"):
+        density_profile(ONE_EDGE, [0.5], mode="heuristic", restarts=2, budget=5)
+
+
 def test_profile_rejects_bad_grid():
     t1 = build_kary(3, 1)
     with pytest.raises(ValueError):

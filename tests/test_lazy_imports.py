@@ -171,6 +171,32 @@ def test_reduced_select_loads_numpy_and_verify_does_not(tmp_path, action, numpy_
     assert json.loads(proc.stdout)["command"] == "reduced"
 
 
+# The mu-density test is decided when the hypergraph is built, so past
+# PYTHON_INDEX_LIMIT indices neither is_mu_dense nor a select that it
+# refuses (exit 2) loads numpy; a mu-dense select does (above).
+def test_mu_density_loads_no_numpy_past_the_index_limit(tmp_path):
+    from hyperdense.reduced import PYTHON_INDEX_LIMIT
+
+    m = PYTHON_INDEX_LIMIT + 1
+    triples = list(combinations(range(m), 3))
+    reduced = tmp_path / "reduced.json"
+    # every constituent holds its one class edge but the first, which is empty
+    reduced.write_text(json.dumps({"m": m, "class_size": {f"{i},{j}": 1 for i, j in combinations(range(m), 2)},
+                                   "constituents": {f"{i},{j},{k}": [[0, 0, 0]] for i, j, k in triples[1:]}}))
+    script = (
+        "import json, sys\n"
+        "from hyperdense import cli, reduced\n"
+        f"rh = reduced.parse_reduced_json(open({str(reduced)!r}).read())\n"
+        "verdict = reduced.is_mu_dense(rh, 0.0)\n"
+        "tested = 'numpy' in sys.modules\n"
+        f"code = cli.main(['reduced', 'select', {str(reduced)!r}, '--mu', '1.0'])\n"
+        "print(json.dumps([verdict, tested, code, 'numpy' in sys.modules]))\n"
+    )
+    proc = fresh(script)
+    assert json.loads(proc.stdout) == [[True, [0, 1, 2]], False, 2, False]
+    assert proc.stderr == "error: input is not 1.0-dense (worst constituent (0, 1, 2))\n"
+
+
 # The exact vertex and profile audits table their subsets in Python lists up
 # to PYTHON_TABLE_LIMIT vertices, and in numpy past it.
 @pytest.mark.parametrize("notion", ["vertex", "profile"])

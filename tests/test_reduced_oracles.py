@@ -1,18 +1,19 @@
 """The staged selection's two paths against the per-triple references.
 
-Past ``PYTHON_INDEX_LIMIT`` indices ``select_rainbow_core`` computes the
-mu-density counts, every stage's candidate table and every floor check
-for all index triples at once, in numpy, from the reduced hypergraph's
-flat columns; up to the limit it counts each triple's candidates in
-Python by bisecting the triple's sorted codes.  ``reduced_oracles`` keeps
-the loops the tables replaced: one Python pass per triple for the density
-test and for each stage's candidates, and each stage built and its floors
-checked triple by triple.  Each path must give the references' density
-verdict and worst triple, the same candidate set for every triple, the
-same floor verdict (the same instance, or the same RuntimeError naming
-the first failing triple), and the same selection, None, or exception
-with the same text.  At the limit and one past it, both paths are forced
-in turn on the same inputs.
+Past ``PYTHON_INDEX_LIMIT`` indices ``select_rainbow_core`` computes every
+stage's candidate table for all index triples at once, in numpy, from the
+reduced hypergraph's flat columns; up to the limit it counts each
+triple's candidates in Python by bisecting the triple's sorted codes.
+Both paths hand their candidate sets to one instance builder, which
+checks the floors.  ``reduced_oracles`` keeps the loops these replaced:
+one Python pass per triple for the density test and for each stage's
+candidates, and each stage built and its floors checked triple by triple.
+The density test, decided when the hypergraph is built, must give the
+references' verdict and worst triple; each path must give the same
+candidate set for every triple, the same floor verdict (the same
+instance, or the same RuntimeError naming the first failing triple), and
+the same selection, None, or exception with the same text.  At the limit
+and one past it, both paths are forced in turn on the same inputs.
 
 Instances have 2-9 indices, class sizes 1-6 mixed within one instance and
 empty constituents; mu is 0 or 1 often, the exact density of a constituent
@@ -21,7 +22,9 @@ benchmark's ``search`` instances are checked at three seeds for f = 1-10.
 """
 
 import importlib.util
+import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, product
 from pathlib import Path
 
@@ -105,6 +108,16 @@ def table_sets(cols, stage, index, mu, chosen):
     return [frozenset(row.nonzero()[0].tolist()) for row in table]
 
 
+def kernels(rh):
+    """Both stage candidate functions for rh: the numpy tables, then Python."""
+    return partial(reduced._stage_candidates, reduced._columns(rh)), partial(reduced._stage_candidates_py, rh)
+
+
+def built(candidates, rh, stage, index, mu, chosen):
+    """The stage instance the pipeline builds on the candidate sets of candidates."""
+    return reduced._instance(rh.class_sizes, stage, index, mu, candidates(stage, index, mu, chosen))
+
+
 def reference_stages(rh, index, mu, reds, blues):
     """Per stage: its picks, the references' candidate function, floor divisor and anchor."""
     return {
@@ -112,6 +125,52 @@ def reference_stages(rh, index, mu, reds, blues):
         "blue": ((reds,), lambda *t: oracle.blue_candidates(rh, mu, reds, t), 4, "outer"),
         "green": ((reds, blues), lambda *t: oracle.green_candidates(rh, reds, blues, t), 4, "last"),
     }
+
+
+def least_density(rh):
+    """The sparsest constituent's density, exactly."""
+    return Fraction(len(rh.edges_of(rh.sparsest)), oracle.class_product(rh, rh.sparsest))
+
+
+@ORACLE_SETTINGS
+@given(instances())
+@example(ReducedHypergraph.from_parts(2, {(0, 1): 3}, {}))
+def test_the_build_keeps_the_sparsest_constituent(rh):
+    assert rh.sparsest == oracle.mu_dense(rh, 0.0)[1]
+    if rh.sparsest is None:
+        return
+    # mu at the least density, a tie that counts as dense, and a hair above
+    at = float(least_density(rh))
+    for mu in (at, math.nextafter(at, 2.0)):
+        assert outcome(reduced.is_mu_dense, rh, mu) == outcome(oracle.mu_dense, rh, mu)
+    if Fraction(str(at)) == least_density(rh):
+        assert reduced.is_mu_dense(rh, at) == (True, rh.sparsest)
+        if at < 1:
+            assert reduced.is_mu_dense(rh, math.nextafter(at, 2.0)) == (False, rh.sparsest)
+
+
+# class sizes 1 on (0, 1) and (1, 2) and 2 on the others: (0, 1, 2) has a
+# class product of 2, (0, 1, 3) and (1, 2, 3) of 4 and (0, 2, 3) of 8
+MIXED_SIZES = {(0, 1): 1, (0, 2): 2, (0, 3): 2, (1, 2): 1, (1, 3): 2, (2, 3): 2}
+
+
+@pytest.mark.parametrize("edges, sparsest", [
+    # (0, 1, 2) and (0, 1, 3) tie at 1/2: the first in combinations order is kept
+    ({(0, 1, 2): 1, (0, 1, 3): 2, (0, 2, 3): 8, (1, 2, 3): 4}, (0, 1, 2)),
+    # (0, 2, 3) has the most edges but the least density, 3/8
+    ({(0, 1, 2): 1, (0, 1, 3): 2, (0, 2, 3): 3, (1, 2, 3): 4}, (0, 2, 3)),
+])
+def test_the_sparsest_constituent_is_compared_by_density(edges, sparsest):
+    cons = {}
+    for t, count in edges.items():
+        i, j, k = t
+        every = product(range(MIXED_SIZES[(i, j)]), range(MIXED_SIZES[(i, k)]), range(MIXED_SIZES[(j, k)]))
+        cons[t] = set(list(every)[:count])
+    rh = ReducedHypergraph(4, MIXED_SIZES, cons)
+    assert rh.sparsest == sparsest
+    least = float(least_density(rh))
+    assert reduced.is_mu_dense(rh, least) == (True, sparsest)
+    assert reduced.is_mu_dense(rh, math.nextafter(least, 1.0)) == (False, sparsest)
 
 
 @ORACLE_SETTINGS
@@ -127,8 +186,8 @@ def test_stage_tables_and_floors_match_the_references(data):
         assert table_sets(cols, stage, index, mu, chosen) == want, stage
         assert reduced._stage_candidates_py(rh, stage, index, mu, chosen) == want, stage
         expected = outcome(oracle.stage_instance, rh, index, candidates, mu, d, anchor)
-        assert outcome(reduced._stage_instance, cols, stage, index, mu, chosen) == expected, stage
-        assert outcome(reduced._stage_instance_py, rh, stage, index, mu, chosen) == expected, stage
+        for kernel in kernels(rh):
+            assert outcome(built, kernel, rh, stage, index, mu, chosen) == expected, stage
 
 
 # each floor lies a hair above 1 (mu/d times the class) while one vertex is a
@@ -143,8 +202,8 @@ def test_a_floor_a_hair_above_an_integer_is_not_met_by_it(stage, sizes):
     chosen, candidates, d, anchor = reference_stages(rh, (0, 1, 2), mu, reds, blues)[stage]
     expected = (RuntimeError, f"{stage} candidate set has 1 elements, below {mu / d * max(sizes)}")
     assert outcome(oracle.stage_instance, rh, (0, 1, 2), candidates, mu, d, anchor) == expected
-    assert outcome(reduced._stage_instance, reduced._columns(rh), stage, (0, 1, 2), mu, chosen) == expected
-    assert outcome(reduced._stage_instance_py, rh, stage, (0, 1, 2), mu, chosen) == expected
+    for kernel in kernels(rh):
+        assert outcome(built, kernel, rh, stage, (0, 1, 2), mu, chosen) == expected
 
 
 @ORACLE_SETTINGS
@@ -155,8 +214,7 @@ def test_a_floor_a_hair_above_an_integer_is_not_met_by_it(stage, sizes):
 def test_keys_increase_and_give_back_the_codes(rh):
     # the stage tables bisect the keys, so each row's run ends must stay in its own span
     cols = reduced._columns(rh)
-    row = np.repeat(np.arange(len(cols.triples)), cols.counts)
-    assert cols.counts.tolist() == [b - a for a, b in zip(rh.offsets, rh.offsets[1:])]
+    row = np.repeat(np.arange(len(cols.triples)), [b - a for a, b in zip(rh.offsets, rh.offsets[1:])])
     assert (np.diff(cols.keys) > 0).all()
     assert (cols.keys // cols.span == row).all()
     assert (cols.keys - cols.span * row).tolist() == list(rh.codes)
@@ -207,11 +265,10 @@ def test_selection_matches_the_reference_on_mixed_instances():
     assert min(kinds.values()) >= 20, kinds  # every kind of outcome is exercised
 
 
-# Up to PYTHON_INDEX_LIMIT indices the selection runs triple by triple in
+# Up to PYTHON_INDEX_LIMIT indices the stages run triple by triple in
 # Python, past it on numpy tables.  At the limit and one past it each path
-# is forced in turn: both must give the reference's density verdict and
-# selection, None, or exception with the same text, mu outside [0, 1]
-# included.
+# is forced in turn: both must give the reference's selection, None, or
+# exception with the same text, mu outside [0, 1] included.
 INDEX_LIMIT = reduced.PYTHON_INDEX_LIMIT
 
 
@@ -234,7 +291,7 @@ def test_python_and_numpy_selections_agree_at_the_limit(m, data):
     rh = ReducedHypergraph.from_parts(m, sizes, cons)
     mu = data.draw(st.one_of(mus(rh), st.sampled_from([-0.5, 1.5, float("nan")])))
     f = data.draw(st.integers(1, m))
-    assert on_both_paths(reduced.is_mu_dense, m, rh, mu) == [outcome(oracle.mu_dense, rh, mu)] * 2
+    assert outcome(reduced.is_mu_dense, rh, mu) == outcome(oracle.mu_dense, rh, mu)
     want = outcome(oracle.select_rainbow_core, rh, mu, f)
     assert on_both_paths(reduced.select_rainbow_core, m, rh, mu, f) == [want, want]
 
