@@ -130,7 +130,7 @@ def cmd_audit(args) -> int:
 
     host = _load_hypergraph(args.file)
     if args.notion == "profile":
-        grid = [float(x) for x in args.eta_grid.split(",")] if args.eta_grid else [1.0]
+        grid = [float(x) for x in args.eta_grid.split(",")] if args.eta_grid is not None else [1.0]
         report = density.density_profile(
             host, grid, mode=args.mode, budget=args.budget, restarts=args.restarts, seed=args.seed
         )

@@ -13,7 +13,10 @@ Exact mode reads one table of e(U) for every subset U (vertex and
 profile): Python lists up to PYTHON_TABLE_LIMIT vertices, so that those
 audits load no numpy, and past it a numpy table of int16 counts (int32
 from 2**15 edges).  The triple notion reads the codegrees of a block of
-about 2**14 (X, Y) pairs at once, a few X rows against every Y.
+about 2**14 (X, Y) pairs at once, a few X rows against every Y.  Where
+several subsets attain an exact minimum, the certificate is the least
+bitmask among them, bit v standing for vertex v: for the triple notion the
+least X mask, and then the least Y mask.
 Heuristic mode runs all seeded random restarts in lockstep, one numpy
 column per restart, in blocks of about _RESTART_BLOCK cells (a cell is one
 vertex or incidence entry of one restart).  For vertex and profile it is a
@@ -65,7 +68,7 @@ HEURISTIC_HOST_LIMIT = 10**4
 # (X, Y) cells per block of the exact triple audit: each array stays below 1 MiB at n <= 10
 _TRIPLE_BLOCK = 1 << 14
 # masks per block when the exact vertex and profile audits look up a size's
-# minimisers: the block's bool arrays take 64 KiB each, not 1 MiB at n = 20
+# least minimiser: the block's bool arrays take 64 KiB each, not 1 MiB at n = 20
 _SCAN_BLOCK = 1 << 16
 # cells per block of heuristic restarts, a cell being one edge incidence or
 # vertex of one restart; a block's largest arrays hold 1 or 2 bytes a cell
@@ -178,15 +181,14 @@ def _fill_subset_counts(out: np.ndarray, k: int, edges: Sequence[tuple[int, ...]
             high[:] = low
 
 
-def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
-    """m(s) = min e(U) over |U| = s for s = 0..n, and two picks among the
-    masks that attain m(s): the one whose sorted vertex tuple is
-    lexicographically least, and the one a Gray-code walk from 0 meets
-    first.  Hosts of at most PYTHON_TABLE_LIMIT vertices are tabled in
-    Python lists (_size_minima_py).  Larger ones take numpy tables, whose
-    minimisers are found _SCAN_BLOCK masks at a time.  No count exceeds the
-    edge count, so the counts are int16 below 2**15 edges and int32 from
-    there: the tables take 3 or 5 * 2**n bytes with the uint8 sizes."""
+def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], int]]:
+    """m(s) = min e(U) over |U| = s for s = 0..n, and least(s), the least
+    mask that attains m(s).  Hosts of at most PYTHON_TABLE_LIMIT vertices
+    are tabled in Python lists (_size_minima_py).  Larger ones take numpy
+    tables, which least(s) reads _SCAN_BLOCK masks at a time up to the
+    first hit.  No count exceeds the edge count, so the counts are int16
+    below 2**15 edges and int32 from there: the tables take 3 or 5 * 2**n
+    bytes with the uint8 sizes."""
     if h.n <= PYTHON_TABLE_LIMIT:
         return _size_minima_py(h)
     # imported here, not at the top: only the audits need numpy, and
@@ -201,15 +203,15 @@ def _size_minima(h: Hypergraph) -> tuple[list[int], Callable[[int], int], Callab
     minima = np.full(h.n + 1, np.iinfo(dtype).max, dtype=dtype)
     np.minimum.at(minima, sizes, counts)
 
-    def minimisers(s: int) -> np.ndarray:
-        return np.concatenate([
-            start + np.flatnonzero((sizes[start:start + _SCAN_BLOCK] == s)
-                                   & (counts[start:start + _SCAN_BLOCK] == minima[s]))
-            for start in range(0, len(counts), _SCAN_BLOCK)
-        ])
+    def least(s: int) -> int:
+        for start in range(0, len(counts), _SCAN_BLOCK):
+            hits = np.flatnonzero((sizes[start:start + _SCAN_BLOCK] == s)
+                                  & (counts[start:start + _SCAN_BLOCK] == minima[s]))
+            if len(hits):
+                return start + int(hits[0])
+        raise AssertionError(f"no mask of size {s}")
 
-    return (minima.tolist(), lambda s: _lex_least(minimisers(s), h.n),
-            lambda s: _first_in_gray_order(minimisers(s)))
+    return minima.tolist(), least
 
 
 def _subset_counts_py(n: int, k: int, edges: Sequence[tuple[int, ...]]) -> list[int]:
@@ -229,44 +231,18 @@ def _subset_counts_py(n: int, k: int, edges: Sequence[tuple[int, ...]]) -> list[
     return out
 
 
-def _size_minima_py(h: Hypergraph) -> tuple[list[int], Callable[[int], int], Callable[[int], int]]:
-    """_size_minima from Python lists of e(U) and |U|, each size's
-    minimisers collected in one pass over the masks."""
+def _size_minima_py(h: Hypergraph) -> tuple[list[int], Callable[[int], int]]:
+    """_size_minima from Python lists of e(U) and |U|: one pass over the
+    masks in increasing order keeps each size's first, so least, minimiser."""
     n = h.n
     counts = _subset_counts_py(n, h.k, h.edges)
     sizes = _subset_counts_py(n, 1, [(v,) for v in range(n)])
-    minima = [h.edge_count] * (n + 1)
-    for count, size in zip(counts, sizes):
-        if count < minima[size]:
-            minima[size] = count
-    minimisers: list[list[int]] = [[] for _ in range(n + 1)]
+    minima = [h.edge_count + 1] * (n + 1)
+    least = [0] * (n + 1)
     for mask, (count, size) in enumerate(zip(counts, sizes)):
-        if count == minima[size]:
-            minimisers[size].append(mask)
-    return (minima, lambda s: min(minimisers[s], key=lambda mask: _decode(mask, n)),
-            lambda s: min(minimisers[s], key=_gray_rank))
-
-
-def _lex_least(masks: np.ndarray, n: int) -> int:
-    """Among masks of one size, the one whose sorted vertex tuple is
-    lexicographically least: while some hold the next vertex, keep those."""
-    for v in range(n):
-        holding = masks[masks >> v & 1 == 1]
-        masks = holding if len(holding) else masks
-    return int(masks[0])
-
-
-def _gray_rank(rank: int | np.ndarray) -> int | np.ndarray:
-    """The inverse Gray code of a mask below 2**32, or in place of an array
-    of them: the step at which a Gray-code walk from 0 meets it."""
-    for shift in (1, 2, 4, 8, 16):
-        rank ^= rank >> shift
-    return rank
-
-
-def _first_in_gray_order(masks: np.ndarray) -> int:
-    """The mask a Gray-code walk from 0 meets first: least inverse-Gray rank."""
-    return int(masks[_gray_rank(masks.copy()).argmin()])
+        if count < minima[size]:
+            minima[size], least[size] = count, mask
+    return minima, least.__getitem__
 
 
 def _check_heuristic_host(h: Hypergraph) -> None:
@@ -314,12 +290,11 @@ def vertex_density_check(h: Hypergraph, query: DensityQuery) -> DensityReport:
 def _vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     n = h.n
     penalty = query.eta * n ** h.k
-    minima, lex_least, _ = _size_minima(h)
+    minima, least = _size_minima(h)
     slacks = [minima[s] - query.d * comb(s, h.k) + penalty for s in range(n + 1)]
     best = min(slacks)
-    # the least vertex tuple among all minimisers: per size, then across sizes; () precedes all
-    tied = [s for s in range(n + 1) if slacks[s] == best]
-    subset = min(_decode(lex_least(s), n) for s in tied) if tied[0] else ()
+    # the least mask among all minimisers: per size, then across sizes
+    subset = _decode(min(least(s) for s in range(n + 1) if slacks[s] == best), n)
     return _exact_report(
         "vertex", query, best, {"U": list(subset)},
         {"subsets_examined": 1 << n, "argmin": list(subset), "uniformity": h.k},
@@ -571,33 +546,29 @@ def _triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
     pair of the block, a float matmul of small integers and so exact.
     Each w's gap, clipped at 0, is added into the block's total in w order,
     one vertex at a time: a pairwise sum would change the last bit.
-    The first minimum of a block is the least X and then the first Y in
-    Gray order, and only a strictly smaller block minimum replaces it."""
+    Row and column j both hold mask j, so a block's argmin is its least X
+    mask and then least Y mask, and only a strictly smaller block minimum
+    replaces it: the certificate is the least (X, Y) pair at the minimum."""
     import numpy as np
 
     n = h.n
     penalty = query.eta * n ** 3
-    # column j is the j-th Gray code: argmin's first minimum is the first in Gray order
-    ys = np.arange(1 << n)
-    ys ^= ys >> 1
-    members = (ys[:, None] >> np.arange(n) & 1).astype(np.float64)
-    ysize = members.sum(axis=1)
-    xmembers = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.float64)
-    xweight = query.d * xmembers.sum(axis=1)  # d|X|, one float product per X
+    members = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(np.float64)
+    sizes = members.sum(axis=1)
+    xweight = query.d * sizes  # d|X|, one float product per X
     link = np.zeros((n, n, n))  # link[x, y, w] = 1 when xyw is an edge
     for e in h.edges:
         for x, y, w in permutations(e):
             link[x, y, w] = 1.0
     xy = np.empty((n, 1 << n, n))
     for w in range(n):
-        np.matmul(xmembers, link[:, :, w], out=xy[w])
+        np.matmul(members, link[:, :, w], out=xy[w])
     members_t = np.ascontiguousarray(members.T)
     rows = max(1, _TRIPLE_BLOCK >> n)
-    best = penalty  # X = Y = Z = empty
-    best_pair = None
+    best, best_pair = penalty, (0, 0)  # X = Y = Z = empty
     for start in range(0, 1 << n, rows):
         block = slice(start, start + rows)
-        weight = xweight[block, None] * ysize
+        weight = xweight[block, None] * sizes
         total = np.zeros_like(weight)
         for w in range(n):
             gap = xy[w, block] @ members_t
@@ -607,15 +578,11 @@ def _triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
         cell = int(np.argmin(total))
         if total.flat[cell] < best:
             best = float(total.flat[cell])
-            row, j = divmod(cell, 1 << n)
-            best_pair = (start + row, j)
-    if best_pair is None:
-        best_cert = ((), (), ())
-    else:
-        xmask, j = best_pair
-        gap = xy[:, xmask] @ members[j] - xweight[xmask] * ysize[j]
-        best_cert = (_decode(xmask, n), _decode(int(ys[j]), n), tuple(np.flatnonzero(gap < 0).tolist()))
-    X, Y, Z = best_cert
+            row, ymask = divmod(cell, 1 << n)
+            best_pair = (start + row, ymask)
+    xmask, ymask = best_pair
+    gap = xy[:, xmask] @ members[ymask] - xweight[xmask] * sizes[ymask]
+    X, Y, Z = _decode(xmask, n), _decode(ymask, n), tuple(np.flatnonzero(gap < 0).tolist())
     return _exact_report(
         "triple", query, best, {"X": list(X), "Y": list(Y), "Z": list(Z)},
         {"pairs_examined": 1 << (2 * n), "argmin": [list(X), list(Y), list(Z)]},
@@ -733,9 +700,9 @@ def density_profile(
 
 def _profile_exact(h: Hypergraph, eta_grid: Sequence[float]) -> ProfileReport:
     n, k = h.n, h.k
-    minima, _, first_in_gray_order = _size_minima(h)
+    minima, least = _size_minima(h)
     ratios = {s: minima[s] / comb(s, k) for s in range(k, n + 1)}
-    subset = cache(lambda s: _decode(first_in_gray_order(s), n))
+    subset = cache(lambda s: _decode(least(s), n))
     entries = []
     for eta in eta_grid:
         floor = size_floor(eta, n, k)
@@ -788,25 +755,22 @@ def verify_density_certificate(h: Hypergraph, report: DensityReport) -> float:
     """Recompute a report's slack from scratch (reference code path)."""
     if report.certificate is None:
         raise ValueError("report carries no certificate")
-    if report.notion == "vertex":
-        U = list(report.certificate["U"])
-        if any(v < 0 or v >= h.n for v in U):
+    keys = {"vertex": ("U",), "triple": ("X", "Y", "Z")}.get(report.notion)
+    if keys is None:
+        raise ValueError(f"unsupported notion {report.notion!r}")
+    parts = []
+    for key in keys:
+        part = list(report.certificate[key])
+        if any(v < 0 or v >= h.n for v in part):
             raise ValueError("certificate vertex out of range")
-        if len(set(U)) != len(U):
+        if len(set(part)) != len(part):
             raise ValueError("certificate subset has repeated vertices")
-        inside = induced_edge_count(h, U)
-        return inside - report.d * comb(len(U), h.k) + report.eta * h.n ** h.k
-    if report.notion == "triple":
-        parts = []
-        for key in ("X", "Y", "Z"):
-            part = list(report.certificate[key])
-            if any(v < 0 or v >= h.n for v in part):
-                raise ValueError("certificate vertex out of range")
-            parts.append(part)
-        X, Y, Z = parts
-        count = ordered_triple_count(h, X, Y, Z)
-        return count - report.d * len(X) * len(Y) * len(Z) + report.eta * h.n ** 3
-    raise ValueError(f"unsupported notion {report.notion!r}")
+        parts.append(part)
+    if report.notion == "vertex":
+        (U,) = parts
+        return induced_edge_count(h, U) - report.d * comb(len(U), h.k) + report.eta * h.n ** h.k
+    X, Y, Z = parts
+    return ordered_triple_count(h, X, Y, Z) - report.d * len(X) * len(Y) * len(Z) + report.eta * h.n ** 3
 
 
 def subset_relative_density(h: Hypergraph, vertices: Iterable[int]) -> float:

@@ -2,10 +2,11 @@
 
 The Gray-code scans are the loop implementations the numpy subset tables in
 ``hyperdense.density`` replaced.  They walk every subset in Gray-code
-order, updating edge counts incrementally, and break ties the same way the
-library does; the property tests require the two to agree exactly.
-``triple_exact_by_x`` is the numpy three-set audit that took one X at a
-time, the one the blocks of X rows replaced.  ``edge_masks_without``
+order, updating edge counts incrementally, and break ties the way the
+library does, by the least bitmask (for triples the least X mask, then the
+least Y mask), not by the order of the walk; the property tests require the
+two to agree exactly.  ``triple_exact_by_x`` is the numpy three-set audit
+that took one X at a time, the one the blocks of X rows replaced.  ``edge_masks_without``
 gives each vertex the bitmasks of its edges less itself, for these scans
 and the heuristic references.
 """
@@ -60,7 +61,7 @@ def vertex_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
             size += 1
             inside += sum(1 for om in others[v] if om & mask == om)
         slack = inside - query.d * binom[size] + penalty
-        if slack < best_slack or (slack == best_slack and _decode(mask, n) < _decode(best_mask, n)):
+        if slack < best_slack or (slack == best_slack and mask < best_mask):
             best_slack = slack
             best_mask = mask
     subset = _decode(best_mask, n)
@@ -90,6 +91,7 @@ def triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
         pair_others[y].append((x, z))
         pair_others[z].append((x, y))
     best = penalty  # X = Y = Z = empty
+    best_pair = (0, 0)
     best_cert = ((), (), ())
     for xmask in range(1 << n):
         xbit = [(xmask >> w) & 1 for w in range(n)]
@@ -112,8 +114,8 @@ def triple_exact(h: Hypergraph, query: DensityQuery) -> DensityReport:
                 if gap < 0:
                     total += gap
             obj = total + penalty
-            if obj < best:
-                best = obj
+            if obj < best or (obj == best and (xmask, ymask) < best_pair):
+                best, best_pair = obj, (xmask, ymask)
                 zs = tuple(w for w in range(n) if c[w] - t < 0)
                 best_cert = (_decode(xmask, n), _decode(ymask, n), zs)
     violated = best < 0
@@ -138,10 +140,8 @@ def triple_exact_by_x(h: Hypergraph, query: DensityQuery) -> DensityReport:
 
     n = h.n
     penalty = query.eta * n ** 3
-    # row j is the j-th Gray code: argmin's first minimum is the first in Gray order
-    ys = np.arange(1 << n)
-    ys ^= ys >> 1
-    members = ys[:, None] >> np.arange(n) & 1
+    # row j holds mask j: argmin's first minimum is the least Y
+    members = np.arange(1 << n)[:, None] >> np.arange(n) & 1
     ysize = members.sum(axis=1)
     link = np.zeros((n, n, n), dtype=np.int64)  # link[x, y, w] = 1 when xyw is an edge
     for e in h.edges:
@@ -161,7 +161,7 @@ def triple_exact_by_x(h: Hypergraph, query: DensityQuery) -> DensityReport:
         j = int(np.argmin(obj))
         if obj[j] < best:
             best = float(obj[j])
-            best_cert = (xs, _decode(int(ys[j]), n), tuple(np.flatnonzero(gap[j] < 0).tolist()))
+            best_cert = (xs, _decode(j, n), tuple(np.flatnonzero(gap[j] < 0).tolist()))
     X, Y, Z = best_cert
     return _exact_report(
         "triple", query, best, {"X": list(X), "Y": list(Y), "Z": list(Z)},
@@ -188,7 +188,7 @@ def profile_exact(h: Hypergraph, eta_grid: Sequence[float]) -> ProfileReport:
             inside += sum(1 for om in others[v] if om & mask == om)
         if size >= k:
             ratio = inside / binom[size]
-            if ratio < per_size[size][0]:
+            if (ratio, mask) < per_size[size]:
                 per_size[size] = (ratio, mask)
     entries = []
     for eta in eta_grid:

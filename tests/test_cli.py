@@ -240,6 +240,30 @@ def test_audit_profile(tmp_path, capsys):
     assert abs(entry["density"] - 30 / 84) < 1e-12
 
 
+# ties print the least bitmask among the subsets attaining the minimum; the
+# density tests name the tied subsets
+@pytest.mark.parametrize("argv, text, exit_code, certificate", [
+    (["vertex", "--d", "1.0", "--eta", "0.01"], "3 4 3\n0 1 2\n0 1 3\n1 2 3\n", 1, {"U": [0, 2, 3]}),
+    (["profile", "--eta-grid", "0.25,1.0"], "3 4 2\n0 1 2\n1 2 3\n", 0, {"U": [0, 1, 3]}),
+    (["triple", "--d", "0.01", "--eta", "0.001"], "3 9 3\n0 1 2\n3 4 5\n6 7 8\n", 1,
+     {"X": [0, 1, 2, 3, 4, 5], "Y": [0, 1, 2, 6, 7, 8], "Z": [3, 4, 5, 6, 7, 8]}),
+])
+def test_audit_ties_print_the_least_mask(tmp_path, capsys, argv, text, exit_code, certificate):
+    path = write(tmp_path, "tie.hyg", text)
+    code, out, _ = run(capsys, "audit", argv[0], path, *argv[1:])
+    assert code == exit_code
+    result = loads(out)["result"]
+    assert (result["entries"][0] if argv[0] == "profile" else result)["certificate"] == certificate
+
+
+def test_audit_profile_rejects_an_empty_eta_grid(tmp_path, capsys):
+    path = write(tmp_path, "k4.hyg", K4_TEXT)
+    code, out, err = run(capsys, "audit", "profile", path, "--eta-grid", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: could not convert string to float: ''\n"
+
+
 @pytest.mark.parametrize("flag, message", [("--restarts", "restarts must be >= 1"), ("--budget", "budget must be >= 1")])
 def test_audit_profile_heuristic_rejects_empty_search(tmp_path, capsys, flag, message):
     path = write(tmp_path, "k4.hyg", K4_TEXT)
@@ -719,7 +743,7 @@ def test_profile_certificate_that_does_not_reverify_exits_4_under_optimize(tmp_p
         "from hyperdense import cli, density\n"
         "assert False, 'python -O did not strip asserts'\n"
         "minima = density._size_minima\n"
-        "density._size_minima = lambda h: (*minima(h)[:2], lambda s: (1 << s) - 1)\n"
+        "density._size_minima = lambda h: (minima(h)[0], lambda s: (1 << s) - 1)\n"
         f"sys.exit(cli.main(['audit', 'profile', {path!r}, '--eta-grid', '0.5']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))

@@ -23,6 +23,7 @@ from hyperdense import (
 )
 from hyperdense import density
 from hyperdense.density import (
+    DensityReport,
     ordered_triple_count,
     size_floor,
     subset_relative_density,
@@ -282,7 +283,7 @@ WRONG_PICK = "profile certificate for eta 0.5 re-verifies at 1.0 on 3 vertices, 
 
 def test_profile_certificate_that_does_not_reverify_raises(monkeypatch):
     minima = density._size_minima
-    monkeypatch.setattr(density, "_size_minima", lambda h: (*minima(h)[:2], lambda s: (1 << s) - 1))
+    monkeypatch.setattr(density, "_size_minima", lambda h: (minima(h)[0], lambda s: (1 << s) - 1))
     with pytest.raises(RuntimeError, match=f"^{WRONG_PICK}$"):
         density_profile(ONE_EDGE, [0.5])
 
@@ -310,6 +311,18 @@ def test_certificate_out_of_range_vertex_rejected():
     assert report.verdict == "violated"
     report.certificate = {"U": [0, 99]}
     with pytest.raises(ValueError):
+        verify_density_certificate(h, report)
+
+
+@pytest.mark.parametrize("notion, certificate", [
+    ("vertex", {"U": [0, 0, 1]}),
+    ("triple", {"X": [0, 0], "Y": [1], "Z": [2]}),
+])
+def test_certificate_with_repeated_vertices_rejected(notion, certificate):
+    # X = [0, 0] counted twice would re-verify at 0.27, where X = [0] gives 0.77
+    h = Hypergraph(3, 3, ((0, 1, 2),))
+    report = DensityReport(notion, "violated", 0.5, 0.01, certificate, 0.27, {})
+    with pytest.raises(ValueError, match="^certificate subset has repeated vertices$"):
         verify_density_certificate(h, report)
 
 

@@ -23,7 +23,7 @@ from gray_oracles import profile_exact, triple_exact, triple_exact_by_x, vertex_
 import numpy as np
 
 from heuristic_oracles import codegrees, profile_heuristic, triple_heuristic, vertex_heuristic
-from hyperdense import DensityQuery, Hypergraph, density, density_profile, vertex_density_check
+from hyperdense import DensityQuery, Hypergraph, density, density_profile, triple_density_check, vertex_density_check
 from hyperdense.density import (
     _codegree_index,
     _codegrees,
@@ -117,9 +117,8 @@ def test_vertex_and_profile_exact_match_gray_scan_three_masks_per_block(h, d, et
 # their subsets in Python lists, past it in numpy.  At the limit and one
 # past it each path is forced in turn, and the reports must equal each
 # other and the Gray-code scans.  Empty and complete hosts tie every subset
-# of a size, so there the Gray-order tie-break alone picks the profile
-# certificates; random hosts tie some subsets of a size, and there the
-# lexicographic tie-break picks the vertex certificate as well.
+# of a size, and random hosts some, so the least-mask tie rule picks many of
+# the vertex and profile certificates, whatever order a scan meets them in.
 TABLE_LIMIT = density.PYTHON_TABLE_LIMIT
 
 
@@ -157,6 +156,41 @@ def test_checked_audits_agree_on_both_tables_at_the_limit(kind, n):
         assert listed == tabled == vertex_exact(h, query).to_dict(), d
     listed, tabled = on_both_tables(lambda: density_profile(h, grid).to_dict(), n)
     assert listed == tabled == profile_exact(h, grid).to_dict()
+
+
+# Where several subsets attain the minimum, the certificate is the least
+# bitmask among them.  On the host 012, 013, 123 at d = 1, eta = 0.01 the
+# slack -0.36 is attained on {0, 2, 3} (mask 13, no edge inside) and on all
+# four vertices (mask 15, three edges).  On the host 012, 123 the density 0
+# on three vertices is attained on {0, 1, 3} (mask 11) and {0, 2, 3} (mask
+# 13), which a Gray-code walk meets first.
+def test_vertex_ties_take_the_least_mask_on_both_tables():
+    h = Hypergraph(3, 4, ((0, 1, 2), (0, 1, 3), (1, 2, 3)))
+    query = DensityQuery(d=1.0, eta=0.01)
+    for report in on_both_tables(lambda: vertex_density_check(h, query), 4):
+        assert report.slack == 0 - 1.0 + 0.01 * 4**3
+        assert report.certificate == {"U": [0, 2, 3]}
+        assert report.stats["argmin"] == [0, 2, 3]
+
+
+def test_profile_ties_take_the_least_mask_on_both_tables():
+    h = Hypergraph(3, 4, ((0, 1, 2), (1, 2, 3)))
+    for report in on_both_tables(lambda: density_profile(h, [0.25, 1.0]), 4):
+        assert [(e.density, e.subset) for e in report.entries] == [(0.0, (0, 1, 3)), (0.5, (0, 1, 2, 3))]
+
+
+# Three disjoint triangles at d = 0.01: the least slack is taken by the
+# unions of two triangles in each role, one for each triangle to miss, so
+# every order of the three unions ties.  The least X mask is the first two
+# triangles, and beside it the least Y mask is the first and the third,
+# where a Gray-code walk over Y meets the second and the third first.
+def test_triple_ties_take_the_least_x_and_then_the_least_y_mask():
+    h = Hypergraph(3, 9, ((0, 1, 2), (3, 4, 5), (6, 7, 8)))
+    query = DensityQuery(d=0.01, eta=0.001)
+    report = triple_density_check(h, query)
+    assert report.slack == pytest.approx(0.001 * 9**3 - 0.01 * 6**3)
+    assert report.certificate == {"X": [0, 1, 2, 3, 4, 5], "Y": [0, 1, 2, 6, 7, 8], "Z": [3, 4, 5, 6, 7, 8]}
+    assert same(report, triple_exact_by_x(h, query))
 
 
 def triple_host(kind: str, n: int) -> Hypergraph:
