@@ -4,9 +4,11 @@ The package exports resolve lazily (PEP 562): ``import hyperdense`` loads no
 submodule, and the first access to a name imports the module defining it.  A
 command therefore loads only the modules it runs, and numpy only when a kernel
 needs it: the heuristic and three-set density audits, the exact vertex and
-profile audits past 12 vertices, the inequality scan, the sampled subset
-audit, the rainbow selection on a mu-dense input past 10 indices and hom
-counts into large hosts (``hyperdense.cli`` lists them).
+profile audits past 12 vertices, the inequality scan past resolution 128, the
+sampled subset audit, the rainbow selection on a mu-dense input past 10
+indices and hom counts into large hosts (``hyperdense.cli`` lists them).  The
+records are named tuples and plain classes, and hashlib loads with the first
+seed drawn.
 """
 
 from importlib import import_module

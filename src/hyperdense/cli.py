@@ -10,10 +10,12 @@ draw random numbers, so only they take ``--seed``.
 Each command imports the modules it runs inside its body, so a cold start
 loads only those.  It loads numpy only where one of these needs it: a
 heuristic or three-set density audit, an exact vertex or profile audit on
-more than density.PYTHON_TABLE_LIMIT (12) vertices, the cube scan, a
-sampled subset audit, the rainbow selection on a mu-dense input of more
-than reduced.PYTHON_INDEX_LIMIT (10) indices, or a hom count into a host
-of at least 27**3 tensor cells.
+more than density.PYTHON_TABLE_LIMIT (12) vertices, the cube scan past
+inequalities.PYTHON_RESOLUTION_LIMIT (128), a sampled subset audit, the
+rainbow selection on a mu-dense input of more than
+reduced.PYTHON_INDEX_LIMIT (10) indices, or a hom count into a host of at
+least 27**3 tensor cells.  The records are named tuples and plain classes,
+and hashlib loads only when a seed is drawn.
 """
 
 from __future__ import annotations

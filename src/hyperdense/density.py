@@ -38,11 +38,10 @@ negative slack; heuristic mode never claims "satisfied", only "unresolved".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import permutations
 from math import ceil, comb, inf
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .hypergraphs import Hypergraph, induced_edge_count
 from .seeding import derive_rng
@@ -82,54 +81,54 @@ def _check_search(budget: int, restarts: int) -> None:
         raise ValueError("restarts must be >= 1")
 
 
-@dataclass
-class DensityQuery:
+class _Record:
+    """== and repr over the fields, in the order __init__ sets them; the
+    fields may be assigned."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class DensityQuery(_Record):
     """Audit parameters; restarts and budget only matter in heuristic mode."""
 
-    d: float
-    eta: float
-    mode: str = "exact"
-    budget: int = 1000
-    restarts: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.d <= 1.0:
-            raise ValueError(f"d must lie in [0, 1], got {self.d}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta}")
-        _check_search(self.budget, self.restarts)
-        if self.mode not in ("exact", "heuristic"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+    def __init__(self, d: float, eta: float, mode: str = "exact", budget: int = 1000, restarts: int = 64,
+                 seed: int = 0):
+        if not 0.0 <= d <= 1.0:
+            raise ValueError(f"d must lie in [0, 1], got {d}")
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"eta must lie in (0, 1], got {eta}")
+        _check_search(budget, restarts)
+        if mode not in ("exact", "heuristic"):
+            raise ValueError(f"unknown mode {mode!r}")
+        self.d, self.eta, self.mode, self.budget, self.restarts, self.seed = d, eta, mode, budget, restarts, seed
 
 
-@dataclass
-class DensityReport:
-    notion: str
-    verdict: str  # satisfied | violated | unresolved
-    d: float
-    eta: float
-    certificate: Optional[dict]
-    slack: Optional[float]
-    stats: dict
+class DensityReport(_Record):
+    def __init__(self, notion: str, verdict: str, d: float, eta: float, certificate: Optional[dict],
+                 slack: Optional[float], stats: dict):  # verdict: satisfied | violated | unresolved
+        self.notion, self.verdict, self.d, self.eta = notion, verdict, d, eta
+        self.certificate, self.slack, self.stats = certificate, slack, stats
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        from copy import deepcopy
+
+        return deepcopy(vars(self))
 
 
-@dataclass
-class ProfileEntry:
+class ProfileEntry(NamedTuple):
     eta: float
     size_floor: int
     density: Optional[float]
     subset: Optional[tuple[int, ...]]
 
 
-@dataclass
-class ProfileReport:
-    entries: list[ProfileEntry]
-    mode: str
-    stats: dict = field(default_factory=dict)
+class ProfileReport(_Record):
+    def __init__(self, entries: list[ProfileEntry], mode: str, stats: Optional[dict] = None):
+        self.entries, self.mode, self.stats = entries, mode, {} if stats is None else stats
 
     def to_dict(self) -> dict:
         return {

@@ -11,12 +11,11 @@ substance in the other modules requires k >= 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice, permutations
 from math import comb
 from operator import itemgetter, lt
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,25 +51,39 @@ class HypergraphParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """Immutable k-uniform hypergraph in canonical storage.
 
     The constructor validates canonical form strictly; use ``from_edges``
-    to build from unsorted or duplicated input.
+    to build from unsorted or duplicated input.  Hypergraphs compare and
+    hash by (k, n, edges), which cannot be assigned.
     """
 
-    k: int
-    n: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"uniformity must be >= 2, got {self.k}")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
+    def __init__(self, k: int, n: int, edges: tuple[Edge, ...]):
+        # set past the __setattr__ that refuses assignment
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        if k < 2:
+            raise ValueError(f"uniformity must be >= 2, got {k}")
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
         if not self._is_canonical():
             self._reject()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(k={self.k!r}, n={self.n!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.n, self.edges) == (other.k, other.n, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.n, self.edges))
 
     def _is_canonical(self) -> bool:
         """The four conditions of canonical form, one pass each, all in C:
@@ -130,8 +143,7 @@ class Hypergraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(NamedTuple):
     """Edge-preserving map from pattern vertices to host vertices."""
 
     mapping: dict[int, int]

@@ -17,9 +17,11 @@ the minimum, which the origin's exact 0 holds at or below, nor tie it.
 The kept points come unsorted and are evaluated in blocks, each gap with
 the operations of the full slice scan, and among exact ties the point of
 least index (i*r + j)*r + k wins, so the minimum and its lexicographically
-least argmin are those of that scan.  From the inequality follows a
-per-subset edge floor inside
-the depth-l ternary host,
+least argmin are those of that scan.  Up to PYTHON_RESOLUTION_LIMIT the
+same steps run on Python floats, with scalar powers where the numpy scan
+takes array powers that may differ in the last bit; the tests check that
+both give the same result at every such resolution.  From the inequality
+follows a per-subset edge floor inside the depth-l ternary host,
 
     e(X) >= eta**rho / 4 * |X|**3 / 6 - 3/8 * 3**l,   eta = |X| / 3**l,
 
@@ -37,8 +39,8 @@ hom(F, T_n) come from the host's recursion in `ternary.kary_hom_counts`.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable
+from itertools import product
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .hypergraphs import Hypergraph
 from .seeding import subseed
@@ -67,13 +69,16 @@ def scan_inequality(resolution: int) -> tuple[float, tuple[float, float, float]]
     operations of a slice-by-slice scan of the whole grid.  Among points
     whose gaps tie exactly at the minimum the least packed index
     (i*r + j)*r + k wins, the point that scan meets first, so the result is
-    the one it returns."""
-    import numpy as np
-
+    the one it returns.  Resolutions of at most PYTHON_RESOLUTION_LIMIT take
+    the same steps on Python floats (`_scan_py`), so they load no numpy."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if resolution > FACT7_RESOLUTION_LIMIT:
         raise ValueError(f"resolution is limited to <= {FACT7_RESOLUTION_LIMIT}")
+    if resolution <= PYTHON_RESOLUTION_LIMIT:
+        return _scan_py(resolution)
+    import numpy as np
+
     grid = np.linspace(0.0, 1.0, resolution)
     points = _candidate_points(grid)
     best, key = math.inf, 0
@@ -90,6 +95,49 @@ def scan_inequality(resolution: int) -> tuple[float, tuple[float, float, float]]
     i, jk = divmod(key, resolution * resolution)
     j, k = divmod(jk, resolution)
     return float(best), (float(grid[i]), float(grid[j]), float(grid[k]))
+
+
+def _scan_py(resolution: int) -> tuple[float, tuple[float, float, float]]:
+    """scan_inequality on Python floats, every power a scalar one: the
+    points of `_candidate_points_py`, each gap with the operations of
+    `_point_gaps` in its order, and among exact ties at the minimum the
+    least (i, j, k), which is the least packed index."""
+    grid = _linspace(resolution)
+    grid_pow = [x**TAU for x in grid]
+    scale = 3.0 ** (3.0 - TAU)
+    points = _candidate_points_py(grid)
+    gaps = [grid_pow[i] + grid_pow[j] + grid_pow[k] + 24.0 * grid[i] * (grid[j] * grid[k])
+            - scale * (grid[i] + (grid[j] + grid[k])) ** TAU for i, j, k in points]
+    best = min(gaps)
+    i, j, k = min(point for point, gap in zip(points, gaps) if gap == best)
+    return best, (grid[i], grid[j], grid[k])
+
+
+def _linspace(resolution: int) -> list[float]:
+    """np.linspace(0.0, 1.0, resolution) as Python floats, bit for bit."""
+    step = 1.0 / (resolution - 1)
+    return [i * step for i in range(resolution - 1)] + [1.0]
+
+
+def _candidate_points_py(grid: list[float]) -> list[tuple[int, int, int]]:
+    """The points (i, j, k) of `_candidate_points`, unsorted, by its descent
+    on Python floats."""
+    size = len(grid)
+    scale = 3.0 ** (3.0 - TAU)
+    side = _BLOCK_SIDE
+    blocks = list(product(range(-(-size // side)), repeat=3))
+    while side > 1:
+        starts = range(0, size, side)
+        lo, hi = [grid[s] for s in starts], [grid[min(s + side, size) - 1] for s in starts]
+        lo_pow = [x**TAU for x in lo]
+        side //= 2
+        # the indices of each cube's children along one axis, past the grid's end dropped
+        halves = [[c for c in (2 * b, 2 * b + 1) if c * side < size] for b in range(len(starts))]
+        blocks = [child for x, y, z in blocks
+                  if lo_pow[x] + lo_pow[y] + lo_pow[z] + 24.0 * lo[x] * lo[y] * lo[z]
+                  - scale * (hi[x] + hi[y] + hi[z]) ** TAU <= _FLOAT_TOLERANCE
+                  for child in product(halves[x], halves[y], halves[z])]
+    return blocks
 
 
 def _candidate_points(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,8 +188,7 @@ def _point_gaps(grid: np.ndarray, i: np.ndarray, j: np.ndarray, k: np.ndarray) -
             - scale * (x + (y + z)) ** TAU)
 
 
-@dataclass
-class SubsetAuditReport:
+class SubsetAuditReport(NamedTuple):
     level: int
     mode: str
     examined: int
@@ -149,7 +196,9 @@ class SubsetAuditReport:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        from copy import deepcopy
+
+        return deepcopy(self._asdict())
 
 
 def density_floor(size: int, level: int) -> float:
@@ -161,6 +210,9 @@ def density_floor(size: int, level: int) -> float:
 KARY_EXACT_LIMIT = 5
 # the kept points grow about as resolution**1.5: 94,721 at 401, about 1e6 at 2001
 FACT7_RESOLUTION_LIMIT = 2001
+# Resolutions of at most this scan in pure Python, so that they load no
+# numpy.  A cold import of numpy takes 130-150 ms.
+PYTHON_RESOLUTION_LIMIT = 128
 _BLOCK_SIDE = 64
 # kept points per block of the gap evaluation: each float array stays at 128 KiB
 _GAP_BLOCK = 1 << 14
@@ -294,8 +346,7 @@ def audit_kary_subsets(
     return SubsetAuditReport(level, "sampled", samples, violations, seed=seed)
 
 
-@dataclass(frozen=True)
-class SliceStats:
+class SliceStats(NamedTuple):
     """The slice {0,1}**r x {0,1,2}**(n-r) inside the depth-n host."""
 
     r: int
@@ -330,8 +381,7 @@ def binary_prefix_slice(r: int, n: int) -> SliceStats:
     )
 
 
-@dataclass
-class SupersaturationReport:
+class SupersaturationReport(NamedTuple):
     vertices: int
     edges: int
     entries: list[tuple[int, int, float]]  # (depth, hom count, hom / (3**depth)**v)

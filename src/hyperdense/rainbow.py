@@ -17,10 +17,9 @@ whose faces carry this position pattern under the natural order of [n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .hypergraphs import Face, Hypergraph, check_pattern_size, shadow
 from .seeding import derive_rng
@@ -34,8 +33,7 @@ PAIR_COLOURING_LIMIT = 10**6
 PATTERN_HOST_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class ShadowColouring:
+class ShadowColouring(NamedTuple):
     """A vertex ordering plus a total colouring of the shadow.
 
     ``order[p]`` is the vertex at position p (0-based); ``colours`` maps
@@ -46,8 +44,7 @@ class ShadowColouring:
     colours: dict[Face, int]
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """Two edges demand different colours for the same shadow face."""
 
     face: Face
@@ -55,27 +52,31 @@ class Conflict:
     colour_b: int
 
 
-@dataclass(frozen=True)
 class PairColouring:
     """Total colouring of all (k-1)-subsets of [0, n) with colours 1..k."""
 
-    k: int
-    n: int
-    colours: dict[Face, int]
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need uniformity k >= 2, got k={self.k}")
-        want = comb(self.n, self.k - 1)
-        if len(self.colours) != want:
-            raise ValueError(f"colouring is not total: {len(self.colours)} of {want} subsets")
-        for face, c in self.colours.items():
-            if len(face) != self.k - 1 or any(a >= b for a, b in zip(face, face[1:])):
-                raise ValueError(f"bad subset key {face}: need {self.k - 1} increasing vertices")
-            if any(v < 0 or v >= self.n for v in face):
+    def __init__(self, k: int, n: int, colours: dict[Face, int]):
+        if k < 2:
+            raise ValueError(f"need uniformity k >= 2, got k={k}")
+        want = comb(n, k - 1)
+        if len(colours) != want:
+            raise ValueError(f"colouring is not total: {len(colours)} of {want} subsets")
+        for face, c in colours.items():
+            if len(face) != k - 1 or any(a >= b for a, b in zip(face, face[1:])):
+                raise ValueError(f"bad subset key {face}: need {k - 1} increasing vertices")
+            if any(v < 0 or v >= n for v in face):
                 raise ValueError(f"subset {face} out of range")
-            if c < 1 or c > self.k:
-                raise ValueError(f"colour {c} outside 1..{self.k}")
+            if c < 1 or c > k:
+                raise ValueError(f"colour {c} outside 1..{k}")
+        self.k, self.n, self.colours = k, n, colours
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(k={self.k!r}, n={self.n!r}, colours={self.colours!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.n, self.colours) == (other.k, other.n, other.colours)
 
 
 def _face_dropping(edge: tuple[int, ...], v: int) -> Face:

@@ -40,12 +40,11 @@ from __future__ import annotations
 import json
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
 from math import comb, prod
-from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,19 +75,13 @@ class MuDensityError(ValueError):
     """Input reduced hypergraph misses the required constituent density."""
 
 
-@dataclass(frozen=True, init=False)
 class ReducedHypergraph:
     """Class sizes per index pair and the constituents as flat columns:
     the codes of the t-th triple of combinations(range(m), 3) are
     codes[offsets[t]:offsets[t + 1]], one per class edge, sorted.
     sparsest is the first triple, in that order, whose constituent has the
-    least density (edges over class product), None when m < 3."""
-
-    m: int
-    class_sizes: dict[Pair, int]
-    offsets: array = field(repr=False)
-    codes: array = field(repr=False)
-    sparsest: Optional[Triple] = field(repr=False)
+    least density (edges over class product), None when m < 3.  All five
+    fields compare by ==, and repr shows m and class_sizes."""
 
     def __init__(self, m: int, class_sizes: dict[Pair, int],
                  constituents: dict[Triple, Collection[Sequence[int]]]):
@@ -125,11 +118,13 @@ class ReducedHypergraph:
             count = offsets[-1] - offsets[-2]
             if count * high < low * a * b * c:
                 sparsest, low, high = triple, count, a * b * c
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "class_sizes", class_sizes)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "sparsest", sparsest)
+        self.m, self.class_sizes, self.offsets, self.codes, self.sparsest = m, class_sizes, offsets, codes, sparsest
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(m={self.m!r}, class_sizes={self.class_sizes!r})"
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def from_parts(
@@ -154,8 +149,7 @@ def _row(m: int, i: int, j: int, k: int) -> int:
     return comb(m, 3) - comb(m - i, 3) + comb(m - 1 - i, 2) - comb(m - j, 2) + k - j - 1
 
 
-@dataclass(frozen=True)
-class CoreSelection:
+class CoreSelection(NamedTuple):
     """Selected indices plus red/blue/green class vertices per position pair."""
 
     indices: tuple[int, ...]
@@ -164,8 +158,7 @@ class CoreSelection:
     green: dict[Pair, int]
 
 
-@dataclass(frozen=True)
-class _Columns:
+class _Columns(NamedTuple):
     """A reduced hypergraph viewed through numpy, for the whole-stage tables.
 
     m is the hypergraph's.  Row t of triples and sizes is the t-th triple
@@ -228,8 +221,7 @@ def is_mu_dense(rh: ReducedHypergraph, mu: float) -> tuple[bool, Optional[Triple
 # abstract selection instances
 
 
-@dataclass(frozen=True)
-class SelectionInstance:
+class SelectionInstance(NamedTuple):
     """Classes keyed by index pairs and candidate sets keyed by triples.
 
     Which pair of a triple the candidates refine depends on the selection

@@ -7,12 +7,14 @@ independent of scheduling or restart count.
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 
 def subseed(seed: int, label: str) -> int:
-    """64-bit child seed for (master seed, label), stable across platforms."""
+    """64-bit child seed for (master seed, label), stable across platforms.
+    hashlib loads with the first seed drawn, not with this module."""
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

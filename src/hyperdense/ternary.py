@@ -12,12 +12,11 @@ coordinate length at most v(F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import groupby, product
 from math import perm
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .hypergraphs import Hypergraph, check_pattern_size, enumerate_hypergraphs
 
@@ -30,8 +29,7 @@ DEFAULT_VERTEX_LIMIT = 256
 KARY_EDGE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(NamedTuple):
     """Injective map from pattern vertices to equal-length digit strings."""
 
     k: int

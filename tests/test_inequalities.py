@@ -64,9 +64,9 @@ def test_scan_floor_across_resolutions():
 
 
 def test_scan_rejects_degenerate_resolution():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^resolution must be >= 2$"):
         scan_inequality(1)
-    with pytest.raises(ValueError, match=str(inequalities.FACT7_RESOLUTION_LIMIT)):
+    with pytest.raises(ValueError, match=rf"^resolution is limited to <= {inequalities.FACT7_RESOLUTION_LIMIT}$"):
         scan_inequality(inequalities.FACT7_RESOLUTION_LIMIT + 1)
 
 
@@ -88,11 +88,31 @@ def test_scan_matches_full_grid_scan(resolution):
 @pytest.mark.parametrize("order", ["kept", "reversed"])
 @pytest.mark.parametrize("resolution", SCAN_RESOLUTIONS)
 def test_blocked_scan_keeps_the_least_argmin_across_blocks(monkeypatch, resolution, order):
+    monkeypatch.setattr(inequalities, "PYTHON_RESOLUTION_LIMIT", 1)  # the numpy scan at every resolution
     monkeypatch.setattr(inequalities, "_GAP_BLOCK", 7)
     if order == "reversed":
         kept = inequalities._candidate_points
         monkeypatch.setattr(inequalities, "_candidate_points", lambda grid: [p[::-1] for p in kept(grid)])
     assert scan_inequality(resolution) == grid_scan(resolution)
+
+
+# Up to PYTHON_RESOLUTION_LIMIT the scan runs on Python floats, every power
+# a scalar one, where the numpy scan takes array powers that can differ in
+# the last bit; so the two are compared at every resolution the Python scan
+# takes, and past it at the 64-wide block edge.  From r = 65 on, the exact
+# zeros on (t, t, 0) tie the origin, and the least argmin must win.
+PYTHON_RESOLUTIONS = [*range(2, inequalities.PYTHON_RESOLUTION_LIMIT + 1), 129, 130]
+
+
+@pytest.mark.parametrize("resolution", PYTHON_RESOLUTIONS)
+def test_python_scan_matches_the_numpy_scan_and_the_full_grid_scan(monkeypatch, resolution):
+    grid = np.linspace(0.0, 1.0, resolution)
+    assert inequalities._linspace(resolution) == grid.tolist()
+    kept = inequalities._candidate_points_py(grid.tolist())
+    assert sorted(kept) == sorted(zip(*(p.tolist() for p in inequalities._candidate_points(grid))))
+    python = inequalities._scan_py(resolution)
+    monkeypatch.setattr(inequalities, "PYTHON_RESOLUTION_LIMIT", 1)
+    assert python == scan_inequality(resolution) == grid_scan(resolution)
 
 
 def test_scan_at_the_resolution_limit_matches_the_sorted_int32_scan():

@@ -16,6 +16,7 @@ import pytest
 
 import hyperdense
 from conftest import C5_MINUS_TEXT
+from hyperdense import Hypergraph
 
 # every name the package exports, by the module that defines it
 EXPORTS = {
@@ -234,17 +235,110 @@ def test_parse_reduced_json_does_not_load_numpy():
     assert json.loads(proc.stdout) == [[[1, 0, 1]], False]
 
 
-def test_cli_numpy_command_in_fresh_process():
+def fact7_loads_numpy(resolution: int) -> bool:
+    """Whether a fresh verify-fact7 at this resolution loads numpy."""
     script = (
         "import json, sys\n"
         "from hyperdense import cli\n"
-        "code = cli.main(['verify-fact7', '--resolution', '11'])\n"
+        f"code = cli.main(['verify-fact7', '--resolution', '{resolution}'])\n"
         "print(json.dumps([code, 'numpy' in sys.modules]), file=sys.stderr)\n"
     )
     proc = fresh(script)
-    assert json.loads(proc.stderr) == [0, True]
+    code, loaded = json.loads(proc.stderr)
     result = json.loads(proc.stdout)["result"]
-    assert result["resolution"] == 11 and result["minimum"] >= -1e-9
+    assert code == 0 and result["resolution"] == resolution and result["minimum"] >= -1e-9
+    return loaded
+
+
+# The cube scan runs on Python floats up to PYTHON_RESOLUTION_LIMIT, and in
+# numpy past it.
+def test_cli_numpy_command_in_fresh_process():
+    from hyperdense.inequalities import PYTHON_RESOLUTION_LIMIT
+
+    assert fact7_loads_numpy(PYTHON_RESOLUTION_LIMIT + 1) is True
+
+
+def test_cli_cube_scan_at_the_python_limit_loads_no_numpy():
+    from hyperdense.inequalities import PYTHON_RESOLUTION_LIMIT
+
+    assert fact7_loads_numpy(PYTHON_RESOLUTION_LIMIT) is False
+
+
+# --- what a cold `python -m hyperdense` adds to a bare interpreter --------------------
+
+# Every subcommand on inputs shaped like the benchmark's `cli` jobs.  None of
+# them needs numpy there; no record type needs dataclasses, which would also
+# load inspect; and hashlib loads only when a seed is drawn, which none of
+# them does.
+PATTERN_TEXT = "3 5 4\n0 1 2\n0 3 4\n1 3 4\n2 3 4\n"  # T_2 induced on vertices 0, 1, 2, 3, 6
+COLD_COMMANDS = [
+    ["decide-pi1", "{pattern}"],
+    ["frequent", "{pattern}"],
+    ["generate", "hphi", "14", "--colouring", "{phi}"],
+    ["audit", "vertex", "{audit}", "--d", "0.5", "--eta", "0.01"],
+    ["sweep", "4"],
+    ["reduced", "select", "{reduced}", "--mu", "0.5", "--f", "3"],
+    ["verify-fact7", "--resolution", "101"],
+    ["audit-tn", "--level", "2"],
+    ["optimality", "--r", "1", "--n", "3"],
+    ["supersat", "--file", "{pattern}", "--nmax", "2"],
+    ["hom-count", "{pattern}", "{t2}"],
+    ["embed", "{pattern}", "{t2}"],
+]
+UNNEEDED = {"numpy", "dataclasses", "inspect", "hashlib"}
+
+
+def imported_by(argv: list[str]) -> tuple[subprocess.CompletedProcess, set[str]]:
+    """The process and every module it imported, read from -X importtime."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperdense.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    return proc, names - {"imported package"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    proc, names = imported_by(["-c", "pass"])
+    assert proc.returncode == 0 and "sys" not in names
+    return names
+
+
+@pytest.fixture
+def cold_inputs(tmp_path) -> dict:
+    from hyperdense import build_kary, random_pair_colouring, serialize_hypergraph
+
+    phi = random_pair_colouring(14, 3, 5)
+    audit = Hypergraph.from_edges(3, 10, list(combinations(range(10), 3))[::3])
+    m = 6
+    reduced = {"m": m, "class_size": {f"{i},{j}": 2 for i, j in combinations(range(m), 2)},
+               "constituents": {f"{i},{j},{k}": [[0, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+                                for i, j, k in combinations(range(m), 3)}}
+    files = {
+        "pattern": PATTERN_TEXT,
+        "t2": serialize_hypergraph(build_kary(3, 2)),
+        "phi": "3 14\n" + "".join(f"{a} {b} {c}\n" for (a, b), c in sorted(phi.colours.items())),
+        "audit": serialize_hypergraph(audit),
+        "reduced": json.dumps(reduced),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS, ids=[argv[0] for argv in COLD_COMMANDS])
+def test_cold_command_loads_no_numpy_dataclasses_or_hashlib(bare_modules, cold_inputs, argv):
+    proc, names = imported_by(["-m", "hyperdense", *(a.format(**cold_inputs) for a in argv)])
+    assert proc.returncode in (0, 1), proc.stderr[-500:]
+    assert proc.stdout.startswith("#" if argv[0] == "generate" else '{\n  "schema": 1,\n  "command"')
+    assert "hyperdense.cli" in names
+    assert (names - bare_modules) & UNNEEDED == set()
+
+
+def test_a_drawn_seed_loads_hashlib(bare_modules):
+    proc, names = imported_by(["-m", "hyperdense", "generate", "hphi", "8", "--seed", "1"])
+    assert proc.returncode == 0 and proc.stdout.startswith("# pattern host from random colouring")
+    assert (names - bare_modules) & UNNEEDED == {"hashlib"}
 
 
 # --- the export table -------------------------------------------------------------
